@@ -66,8 +66,9 @@ ledger-smoke:
 
 # Hot-path profiler smoke test: a profiled analyze run must emit a
 # non-empty collapsed-stack file (flamegraph.pl grammar) and a JSON
-# report whose rosa.search root attributes >= 95% of its wall time to
-# named frames (see docs/PERFORMANCE.md).
+# report whose rosa.search and vm roots attribute >= 95% of their wall
+# time to named frames, with the derived vm;interp.loop remainder under
+# 5% of the vm root (see docs/PERFORMANCE.md).
 profile-smoke:
 	rm -rf $(PROFILE_SMOKE_DIR)
 	PYTHONPATH=src python -m repro.cli profile passwd \
@@ -81,9 +82,13 @@ profile-smoke:
 	assert report['schema'] == 1, report['schema']; \
 	search = report['roots']['rosa.search']; \
 	assert search['attributed_fraction'] >= 0.95, search; \
-	assert report['roots']['vm']['attributed_fraction'] >= 0.95, report['roots']['vm']; \
+	vm = report['roots']['vm']; \
+	assert vm['attributed_fraction'] >= 0.95, vm; \
+	loop = sum(r['seconds'] for r in report['records'] if r['stack'] == ['vm', 'interp.loop']); \
+	assert loop < 0.05 * vm['seconds'], f'vm;interp.loop {loop:.6f}s of {vm[\"seconds\"]:.6f}s'; \
 	print(f'profile-smoke ok: {len(lines)} stacks, rosa.search ' \
-	      f'{search[\"attributed_fraction\"]:.1%} attributed')"
+	      f'{search[\"attributed_fraction\"]:.1%} attributed, ' \
+	      f'vm;interp.loop {loop / vm[\"seconds\"]:.2%} of vm')"
 
 # Fleet-telemetry smoke test: a --jobs 4 process-pool rosa run must
 # merge one telemetry capsule per worker — a single Perfetto trace with
@@ -120,8 +125,8 @@ fleet-smoke:
 	      f'min attribution {min(fractions.values()):.1%}')"
 
 # Conformance fuzz smoke (CI gate, ~30s): a fixed-seed campaign over the
-# six differential oracle families (including compiled-vs-dispatch and
-# reduction-parity) plus the marker-gated pytest suite.
+# seven default differential oracle families (including compiled-core-vs-
+# reference, reduction-parity and store) plus the marker-gated pytest suite.
 # See docs/TESTING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro.cli fuzz --seed 0 --runs 25

@@ -21,12 +21,12 @@ Reduction must also pay for itself in *wall-clock*, not just states
 engine batch must beat the live unindexed/unreduced baseline, and the
 passwd reduced engine batch — whose searches are tiny enough that the
 engine skips reduction (see ``REDUCTION_MIN_SPACE``) — must cost no
-more than the unreduced batch plus noise.  And the compiled VM core
-must keep earning its keep (:func:`check_vm_core`): the cold passwd
-pipeline on the stock interpreter must be at least
-``PERF_CHECK_COMPILED_MIN`` times faster than the same pipeline forced
-onto the per-instruction dispatch loop, measured back-to-back on this
-host.
+more than the unreduced batch plus noise.  And the VM must not regress
+(:func:`check_vm_history`): the cold passwd pipeline, which the VM
+dominates, is compared against its entry in the latest
+``BENCH_history.jsonl`` record — in CI, the same-host record ``make
+perf-history`` appends just before ``make perf-check`` — by
+``perf_history``'s own regression rule.
 
 Two fleet-serving gates follow.  :func:`check_engine_tax` holds the
 engine's fixed per-query overhead on cold tiny batches: the passwd
@@ -62,6 +62,13 @@ from repro.core import PrivAnalyzer  # noqa: E402
 from repro.programs import spec_by_name  # noqa: E402
 from repro.rosa.query import Verdict, check  # noqa: E402
 
+from perf_history import (  # noqa: E402
+    HISTORY_PATH,
+    REGRESSION_FLOOR,
+    REGRESSION_RATIO,
+    is_regression,
+    load_history,
+)
 from perf_snapshot import BUDGET, phase_queries, rosa_baseline, rosa_engine  # noqa: E402
 
 REPEATS = int(os.environ.get("BENCH_REPEATS", "3"))
@@ -69,17 +76,14 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_rosa.json")
 #: Allowed warm/cold ratio: >1.0 absorbs scheduler noise on a pipeline
 #: whose cacheable stage is only a few percent of wall-clock.
 TOLERANCE = float(os.environ.get("PERF_CHECK_TOLERANCE", "1.15"))
-#: Minimum cold-pipeline speedup of the compiled VM core over the
-#: dispatch loop.  Measured ~2x on the reference host; 1.6 leaves head-
-#: room for slower allocators and noisy CI boxes without letting the
-#: compiled core silently regress to parity.
-COMPILED_MIN_SPEEDUP = float(os.environ.get("PERF_CHECK_COMPILED_MIN", "1.6"))
 #: Allowed cold-engine/baseline ratio for the tiny passwd batch.  The
 #: engine adds key derivation, cache bookkeeping and batch scheduling
 #: per query; before the memoized digests it sat at ~1.9x.
 ENGINE_TAX_MAX = float(os.environ.get("PERF_CHECK_ENGINE_TAX", "1.5"))
 #: Minimum fraction of a second client's store lookups that must hit.
 STORE_SERVED_MIN = float(os.environ.get("PERF_CHECK_STORE_SERVED_MIN", "0.9"))
+#: The VM-dominated entry :func:`check_vm_history` gates.
+VM_GATE_ENTRY = "passwd_pipeline_cold"
 
 
 def best_run(analyzer_factory) -> float:
@@ -123,7 +127,7 @@ def main() -> int:
         return 1
     if check_reduction_wallclock() != 0:
         return 1
-    if check_vm_core(cold) != 0:
+    if check_vm_history(cold) != 0:
         return 1
     if check_engine_tax() != 0:
         return 1
@@ -430,30 +434,36 @@ def check_store_second_client() -> int:
     return failures
 
 
-def check_vm_core(cold: float) -> int:
-    """The compiled VM core must stay well ahead of the dispatch loop.
+def check_vm_history(cold: float, history_path: str = HISTORY_PATH) -> int:
+    """The VM-dominated cold passwd pipeline must not regress vs history.
 
-    ``cold`` is the stock (compiled) cold-pipeline wall-clock already
-    measured by :func:`main`; the dispatch run happens right after it on
-    the same host, so the ratio is a genuine like-for-like speedup.
+    ``cold`` is the cold-pipeline wall-clock already measured by
+    :func:`main`; the reference is ``passwd_pipeline_cold`` in the
+    latest history record.  The gate fails on the rule ``perf_history
+    show`` flags by: more than ``REGRESSION_RATIO`` times slower *and*
+    more than ``REGRESSION_FLOOR`` seconds slower.
     """
-    from repro.vm import set_interpreter_class
-    from repro.vm.interpreter import DispatchInterpreter
-
-    previous = set_interpreter_class(DispatchInterpreter)
-    try:
-        dispatch = best_run(PrivAnalyzer)
-    finally:
-        set_interpreter_class(previous)
-    ratio = dispatch / cold
-    print(
-        f"perf-check: compiled pipeline {cold * 1000:.1f} ms vs dispatch "
-        f"{dispatch * 1000:.1f} ms ({ratio:.2f}x, floor {COMPILED_MIN_SPEEDUP})"
-    )
-    if ratio < COMPILED_MIN_SPEEDUP:
+    records = load_history(history_path)
+    recorded = records[-1].get("entries", {}).get(VM_GATE_ENTRY) if records else None
+    if recorded is None:
         print(
-            f"perf-check FAILED: compiled VM core only {ratio:.2f}x faster "
-            f"than the dispatch loop (floor {COMPILED_MIN_SPEEDUP})",
+            f"perf-check FAILED: no {VM_GATE_ENTRY} in the latest record of "
+            f"{os.path.abspath(history_path)} — run `make bench-json && "
+            f"make perf-history` first",
+            file=sys.stderr,
+        )
+        return 1
+    sha = str(records[-1].get("git_sha", "?"))[:10]
+    print(
+        f"perf-check: passwd cold pipeline {cold * 1000:.1f} ms vs history "
+        f"{recorded * 1000:.1f} ms at {sha} ({cold / recorded:.2f}x, fails "
+        f"beyond {REGRESSION_RATIO}x and +{REGRESSION_FLOOR * 1000:.0f} ms)"
+    )
+    if is_regression(recorded, cold):
+        print(
+            f"perf-check FAILED: passwd cold pipeline regressed to "
+            f"{cold * 1000:.1f} ms from {recorded * 1000:.1f} ms recorded "
+            f"at {sha}",
             file=sys.stderr,
         )
         return 1

@@ -39,6 +39,15 @@ REGRESSION_RATIO = 1.5
 REGRESSION_FLOOR = 0.05
 
 
+def is_regression(
+    previous: float, latest: float, ratio: float = REGRESSION_RATIO
+) -> bool:
+    """Whether ``latest`` seconds regressed against ``previous`` seconds:
+    more than ``ratio`` times slower and more than
+    :data:`REGRESSION_FLOOR` seconds slower."""
+    return latest > previous * ratio and latest - previous > REGRESSION_FLOOR
+
+
 def load_history(path: str = HISTORY_PATH) -> List[Dict]:
     """Every record in the history file, oldest first (missing file → [])."""
     if not os.path.exists(path):
@@ -136,10 +145,7 @@ def render_trajectory(
         known = [wall for wall in walls if wall is not None]
         if len(known) >= 2:
             previous, latest = known[-2], known[-1]
-            if (
-                latest > previous * regression_ratio
-                and latest - previous > REGRESSION_FLOOR
-            ):
+            if is_regression(previous, latest, regression_ratio):
                 trend = f"  REGRESSED {latest / previous:.1f}x"
             elif previous > 0 and latest < previous / regression_ratio:
                 trend = f"  improved {previous / latest:.1f}x"

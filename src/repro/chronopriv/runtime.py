@@ -46,7 +46,7 @@ class ChronoRecorder:
         """Install the counting hooks and the credential-change observer.
 
         Both counting paths land here: the ``__chrono_count`` intrinsic
-        (dispatch-loop interpreters) and the ``vm.chrono_count`` method
+        (the testkit reference interpreter) and the ``vm.chrono_count`` method
         the compiled core calls directly, overridden per-instance so
         spawned children — whose counter must stay inert until their own
         recorder attaches — are unaffected.

@@ -14,7 +14,7 @@ Subcommands:
 * ``fuzz`` — run the conformance testkit's seeded differential/metamorphic
   campaign; failures shrink to replayable repro files (docs/TESTING.md);
 * ``profile`` — run a program or query under the hot-path profiler and
-  print per-rule / per-reduction-phase / per-opcode cost attribution
+  print per-rule / per-reduction-phase / per-VM-function cost attribution
   (``--out DIR`` writes flamegraph + JSON artifacts);
 * ``corpus build`` — materialize a seeded, reproducible scenario corpus
   (family-conditioned generated programs + exemplars + the paper's
@@ -32,7 +32,7 @@ metrics registry, ``--audit-out`` dumps the simulated kernel's syscall
 audit trail, ``--progress`` renders live ROSA search progress, and
 ``--verbose``/``--quiet`` control stderr logging.  ``--profile-out DIR``
 attaches the hot-path profiler (per rewrite rule, reduction phase, VM
-opcode, engine worker — see docs/PERFORMANCE.md) and writes
+function and intrinsic, engine worker — see docs/PERFORMANCE.md) and writes
 ``DIR/profile.collapsed`` (flamegraph.pl format) plus
 ``DIR/profile.json``.  ``--ledger DIR``
 captures the whole run as a versioned artifact directory that
@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="run a program or query under the hot-path profiler "
-        "(per rule, reduction phase, VM opcode; see docs/PERFORMANCE.md)",
+        "(per rule, reduction phase, VM function; see docs/PERFORMANCE.md)",
     )
     profile.add_argument(
         "target", help="built-in program name or path to a .rosa query file"

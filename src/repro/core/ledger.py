@@ -38,7 +38,7 @@ generation both assume:
     differ compares load balance and per-worker execute time.
 ``profile.json``
     The hot-path profiler's schema-versioned report (per rewrite rule,
-    reduction phase, VM opcode, engine worker — see
+    reduction phase, VM function, engine worker — see
     :mod:`repro.telemetry.profiler`), written only when the run carried
     a live profiler (``--profile-out``).
 

@@ -162,7 +162,8 @@ class PrivAnalyzer:
         #: Optional :class:`repro.telemetry.Profiler`.  When live it flows
         #: into the query engine (per-rule / reduction-phase search
         #: attribution) and swaps the dynamic stage onto
-        #: :class:`repro.vm.ProfilingInterpreter` for per-opcode cost.
+        #: :class:`repro.vm.ProfilingInterpreter` for per-function and
+        #: per-intrinsic cost of the compiled core.
         #: Verdicts and exposure tables are bit-identical either way.
         self.profiler = profiler
         #: The ROSA query engine: dedupes/caches/schedules the phase × attack
@@ -249,8 +250,8 @@ class PrivAnalyzer:
                 and vm_class is Interpreter
             )
             if profiling:
-                # Per-opcode attribution, but only over the stock class —
-                # a custom interpreter (testkit oracles) wins outright.
+                # Per-function attribution, but only over the stock class
+                # — a custom interpreter (testkit oracles) wins outright.
                 from repro.vm import ProfilingInterpreter
 
                 vm_class = ProfilingInterpreter
@@ -281,10 +282,10 @@ class PrivAnalyzer:
                     for stack, record in profiler.records.items()
                     if len(stack) == 2 and stack[0] == "vm"
                 ) - measured_before
-                # Dispatch-loop bookkeeping (block/index checks, budget,
-                # handler lookup) sits between the timed handler windows;
-                # account the remainder so the vm root is 100% attributed
-                # without pretending it was timed (cf. rosa.search.loop).
+                # ``run`` itself (entry lookup, exit handling) sits outside
+                # the timed function windows; account the remainder so the
+                # vm root is 100% attributed without pretending it was
+                # timed (cf. rosa.search.loop).
                 remainder = elapsed - measured
                 if remainder > 0.0:
                     profiler.account(("vm", "interp.loop"), remainder)

@@ -3,11 +3,13 @@
 The value of a differential oracle scales with how little the two sides
 share.  :class:`ReferenceInterpreter` therefore re-implements the VM's
 execution core from the IR semantics rather than reusing the production
-code paths: a straight-line ``isinstance`` ladder instead of the
-dispatch table, its own operand resolution, and inline arithmetic
-(explicit two's-complement wrapping, C-style truncating division)
-instead of the shared ``BINARY_OPS``/``ICMP_PREDICATES`` tables.  A bug
-in either evaluation strategy — a stale dispatch entry, a wrong wrap, a
+code paths: an interpreted, one-instruction-at-a-time ``isinstance``
+ladder over a dictionary :class:`~repro.vm.frame.Frame` instead of the
+compiled core's specialized closures and register lists, its own
+operand resolution, and inline arithmetic (explicit two's-complement
+wrapping, C-style truncating division) instead of the shared
+``BINARY_OPS``/``ICMP_PREDICATES`` tables.  A bug in either evaluation
+strategy — a stale table captured at compile time, a wrong wrap, a
 missed retire — shows up as a disagreement in exit code, stdout,
 instruction count, or final kernel state.
 
@@ -16,9 +18,9 @@ depth cap, the instruction budget) intentionally reuses the base class:
 those are *inputs* to the evaluation strategy under test, and sharing
 them keeps disagreements attributable to instruction semantics.
 
-The interpreter still subclasses :class:`~repro.vm.interpreter.Interpreter`
-so ``spawn_wait`` children inherit it (``type(vm)``) and the whole
-pipeline can run on it via
+The interpreter subclasses :class:`~repro.vm.interpreter.Interpreter`
+and overrides only ``_run_body``, so ``spawn_wait`` children inherit it
+(``type(vm)``) and the whole pipeline can run on it via
 :func:`~repro.vm.interpreter.set_interpreter_class`.
 """
 
@@ -63,17 +65,14 @@ def _trunc_div(a: int, b: int) -> int:
 class ReferenceInterpreter(Interpreter):
     """The straight-line reference evaluator.
 
-    Drop-in for :class:`Interpreter`; only the per-instruction execution
-    strategy differs.
+    Drop-in for :class:`Interpreter`; only the execution of function
+    bodies differs.
     """
-
-    #: The whole point is the independent straight-line loop below; the
-    #: compiled core must not route around it.
-    use_compiled = False
 
     def _resolve(self, frame: Frame, value):
         # Literal kinds first — the opposite probe order from the
-        # production fast path, so ordering bugs cannot hide in both.
+        # compiled core's operand resolution, so ordering bugs cannot
+        # hide in both.
         if isinstance(value, ConstantInt):
             return value.value
         if isinstance(value, ConstantString):
@@ -90,7 +89,8 @@ class ReferenceInterpreter(Interpreter):
             f"@{frame.function.name}: use of undefined value {value.short()}"
         )
 
-    def _run_frame(self, frame: Frame):
+    def _run_body(self, function, args):
+        frame = Frame(function, args)
         resolve = self._resolve
         while True:
             block = frame.block

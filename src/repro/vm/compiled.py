@@ -4,44 +4,46 @@
 :class:`CompiledFunction`: SSA values become integer slots in a flat
 register list, and every instruction becomes a specialized closure with
 its operands resolved at compile time — no per-step ``isinstance``
-ladder, no dispatch-table lookup, no frame-dictionary probes.  The
-stock :class:`~repro.vm.interpreter.Interpreter` routes defined-function
-calls here (``use_compiled``); subclasses that override ``_run_frame``
-(the profiling and testkit reference interpreters) opt out and keep
-their per-instruction strategies.
+ladder, no dispatch-table lookup, no frame-dictionary probes.  This is
+the VM's only production evaluator: the stock
+:class:`~repro.vm.interpreter.Interpreter` runs every defined function
+body here (``_run_body``).
 
-Parity is the design constraint, not an afterthought:
+Parity with the straight-line
+:class:`~repro.testkit.reference.ReferenceInterpreter`, which retires
+one instruction at a time, is the design constraint, not an
+afterthought:
 
-* ``executed_instructions`` matches the dispatch interpreter exactly,
-  including on every error path.  Each basic block's count is added
-  *before* the block runs; closures that can terminate early (division,
-  bad pointers, calls that unwind) carry their baked ``tail`` — the
-  number of pre-counted instructions that will now never retire — and
+* ``executed_instructions`` matches the reference exactly, including
+  on every error path.  Each basic block's count is added *before* the
+  block runs; closures that can terminate early (division, bad
+  pointers, calls that unwind) carry their baked ``tail`` — the number
+  of pre-counted instructions that will now never retire — and
   subtract it before re-raising, so the counter always reads as if
   instructions were retired one at a time.
 * When a block would cross the instruction budget, the pre-add is
   rolled back and the block re-runs through a per-instruction slow path
-  that raises at exactly the instruction the dispatch loop would.
-  A call that leaves the counter at the budget edge re-checks before
-  letting pre-counted successors run (the dispatch loop would raise on
-  the instruction after the call).
-* Error messages are byte-identical to the dispatch handlers' — the
-  differential oracles fingerprint them.
+  that raises at exactly the instruction a one-at-a-time evaluator
+  would.  A call that leaves the counter at the budget edge re-checks
+  before letting pre-counted successors run (the next instruction after
+  the call is the one that would raise).
+* Error messages are byte-identical to the reference's — the ``vm``
+  differential oracle fingerprints them.
 * ϕ-nodes compile to per-edge move lists (classic SSA destruction),
   applied in instruction order so a ϕ reading an earlier ϕ of the same
-  block observes the new value, exactly like the sequential dispatch
-  loop.  Block variants are keyed by predecessor only when the block
-  actually contains ϕ-nodes.
+  block observes the new value, exactly like sequential evaluation.
+  Block variants are keyed by predecessor only when the block actually
+  contains ϕ-nodes.
 * Signal delivery stays at call boundaries: every call closure runs the
-  pending-signal dispatch its dispatch-loop counterpart would.
+  pending-signal dispatch after the call returns.
 
 ChronoPriv's per-block counting call compiles to
 ``vm.chrono_count(n)`` — a direct method call instead of an intrinsic
 dispatch — which the recorder overrides per-instance with a bare
 counter-cell increment (see :mod:`repro.chronopriv.runtime`).
 
-Known (accepted) divergences from the dispatch loop, all outside the
-IR the frontend emits: reading an SSA temporary before its definition
+Known (accepted) divergences from the reference, all outside the IR
+the frontend emits: reading an SSA temporary before its definition
 yields the slot's initial ``0`` instead of a "use of undefined value"
 error, and calling a defined function with too few arguments zero-fills
 the missing parameters instead of erroring at first use.
@@ -90,7 +92,7 @@ _RET_NONE = ("ret", None)
 _REG = 0      # value lives in a register slot
 _CONST = 1    # compile-time constant (int, str, FunctionRef, GlobalSlot)
 _GLOBAL = 2   # GlobalVariable missing from vm.globals at compile time
-_UNDEF = 3    # unresolvable value; using it raises the dispatch error
+_UNDEF = 3    # unresolvable value; using it raises the reference error
 
 
 class _BlockCode:
@@ -106,7 +108,7 @@ class _BlockCode:
         self.term: Callable = _unfilled_terminator
         #: Instructions this block pre-adds (steps + retiring terminator).
         self.count: int = 0
-        #: False only for blocks missing a terminator: the dispatch loop
+        #: False only for blocks missing a terminator: the reference
         #: raises *without* retiring an instruction there.
         self.term_retires: bool = True
 
@@ -156,7 +158,7 @@ def _run_slow(vm, regs, code: _BlockCode, maxi: int):
 
     The fast path's pre-add has been rolled back; retire instructions
     one at a time so the budget error fires at exactly the instruction
-    the dispatch loop would raise on.  Step closures bake in a tail
+    a one-at-a-time evaluator would raise on.  Step closures bake in a tail
     subtraction sized for the pre-added fast path, so a raise here is
     compensated from the parallel ``tails`` record.
     """
@@ -187,7 +189,7 @@ class _Compiler:
         self.vm = vm
         self.function = function
         #: SSA value -> register slot.  Arguments first, then every
-        #: instruction (identity-keyed, like the dispatch frame map).
+        #: instruction (identity-keyed, like the reference frame map).
         self.regmap: Dict[Value, int] = {}
         for argument in function.arguments:
             self.regmap[argument] = len(self.regmap)
@@ -313,7 +315,7 @@ class _Compiler:
                 regs[_d] = StackSlot(_n)
 
             return step
-        # The instruction set is closed; match the dispatch-table error.
+        # The instruction set is closed; this is a compile-time bug trap.
         return self._raiser(f"unknown instruction {instruction.opcode}", tail)
 
     def _raiser(self, message: str, tail: int) -> Callable:
@@ -470,7 +472,7 @@ class _Compiler:
         return step
 
     def _compile_store(self, instruction: Store, tail: int) -> Callable:
-        # Dispatch resolves the pointer first, then checks it, then
+        # The reference resolves the pointer first, then checks it, then
         # resolves the value; error precedence here matches that order.
         pointer = self._operand(instruction.pointer)
         kind, payload = pointer
@@ -541,7 +543,7 @@ class _Compiler:
             get_f = self._fetch(if_false)
 
             def step(vm, regs, _d=dest, _gc=get_c, _gt=get_t, _gf=get_f):
-                # Like the dispatch handler, all three operands resolve.
+                # All three operands resolve; none can raise here.
                 taken = _gt(vm, regs)
                 other = _gf(vm, regs)
                 regs[_d] = taken if _gc(vm, regs) else other

@@ -1,46 +1,40 @@
-"""Per-opcode and per-intrinsic cost attribution for the IR interpreter.
+"""Per-function and per-intrinsic cost attribution for the IR interpreter.
 
 :class:`ProfilingInterpreter` is a drop-in :class:`~repro.vm.Interpreter`
-subclass whose dispatch loop times every retired instruction and every
-intrinsic call against an attached :class:`~repro.telemetry.Profiler`:
+subclass that times the compiled core as production runs it, at the
+call boundary, against an attached :class:`~repro.telemetry.Profiler`:
 
-``("vm", "op:<opcode>")``
-    Self time of one instruction kind's handler.  Times are *exclusive*:
-    a ``call`` instruction's record covers only the dispatch overhead,
-    not the callee's instructions (which are attributed to their own
-    opcodes) nor intrinsic bodies.
+``("vm", "fn:<name>")``
+    Self time of one defined function's body: its compiled blocks,
+    ChronoPriv's per-block counting (the recorder's direct
+    ``vm.chrono_count`` increment, part of every block) and the call
+    overhead, but not its callees nor the intrinsics it calls.
 ``("vm", "intrinsic:<name>")``
     Self time of one intrinsic (syscall wrappers, the AutoPriv runtime,
-    libc-ish helpers).  ``intrinsic:__chrono_count`` is ChronoPriv's
-    per-basic-block hook — its total is exactly the instrumentation tax
-    the paper's counting layer adds to every block.
+    libc-ish helpers).
 
-Exclusive timing uses a nested-time ledger: each frame and intrinsic
+Exclusive timing uses a nested-time ledger: each function and intrinsic
 records its total wall time into ``self._nested`` on exit, and the
-caller subtracts the delta from its own handler window.  A frame *sets*
-the ledger to its start value plus its own wall (rather than adding),
-so doubly-nested work is never subtracted twice.
+caller subtracts the delta from its own window.  A frame *sets* the
+ledger to its start value plus its own wall (rather than adding), so
+doubly-nested work is never subtracted twice.
 
 Profiling stays opt-in: with no profiler attached (or a disabled one),
-``_run_frame`` and ``_call_intrinsic`` defer to the stock fast paths.
-The pipeline installs this class only when a live profiler is present
-and no custom interpreter class overrides the stock one, so verdicts,
-instruction counts and exposure tables are bit-identical either way.
+both overrides defer to the stock paths.  The pipeline installs this
+class only when a live profiler is present and no custom interpreter
+class overrides the stock one; it executes the same compiled code, so
+verdicts, instruction counts and exposure tables are bit-identical
+either way.
 """
 
 from __future__ import annotations
 
 from repro.telemetry.profiler import NULL_PROFILER, Profiler
-from repro.vm.interpreter import Interpreter, VMError
-from repro.vm.interpreter import _CONTINUE  # noqa: F401  (dispatch sentinel)
+from repro.vm.interpreter import Interpreter
 
 
 class ProfilingInterpreter(Interpreter):
-    """An interpreter that attributes wall time per opcode and intrinsic."""
-
-    #: Per-opcode attribution needs the per-instruction dispatch loop;
-    #: the compiled core has no handler windows to time.
-    use_compiled = False
+    """An interpreter that attributes wall time per function and intrinsic."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -48,8 +42,8 @@ class ProfilingInterpreter(Interpreter):
         #: constructor signature must stay interchangeable with the stock
         #: interpreter's (``spawn_wait`` children are built positionally).
         self.profiler: Profiler = NULL_PROFILER
-        #: Wall seconds consumed by nested frames/intrinsics, used to
-        #: make per-opcode times exclusive (see module docstring).
+        #: Wall seconds consumed by nested calls, used to make
+        #: per-function times exclusive (see module docstring).
         self._nested = 0.0
 
     def attach(self, profiler: Profiler) -> "ProfilingInterpreter":
@@ -62,60 +56,29 @@ class ProfilingInterpreter(Interpreter):
         )
         return self
 
-    def _run_frame(self, frame):
-        profiler = self.profiler
-        if not profiler.enabled:
-            return super()._run_frame(frame)
-        clock = profiler.clock
-        account = profiler.account
-        dispatch = self._dispatch
-        max_instructions = self.max_instructions
-        nested_at_entry = self._nested
-        frame_start = clock()
-        try:
-            while True:
-                block = frame.block
-                if block is None:
-                    raise VMError(f"@{frame.function.name}: fell off function end")
-                if frame.index >= len(block.instructions):
-                    raise VMError(
-                        f"@{frame.function.name}:%{block.name}: block without terminator"
-                    )
-                instruction = block.instructions[frame.index]
-                self.executed_instructions += 1
-                if self.executed_instructions > max_instructions:
-                    raise VMError("instruction budget exhausted (runaway program?)")
-                handler = dispatch.get(type(instruction))
-                if handler is None:  # pragma: no cover - the instruction set is closed
-                    raise VMError(f"unknown instruction {instruction.opcode}")
-                nested_before = self._nested
-                start = clock()
-                outcome = handler(frame, instruction)
-                elapsed = (clock() - start) - (self._nested - nested_before)
-                account(
-                    ("vm", "op:" + instruction.opcode),
-                    elapsed if elapsed > 0.0 else 0.0,
-                )
-                if outcome is not _CONTINUE:
-                    return outcome
-        finally:
-            # Replace (not add to) the ledger: nested work inside this
-            # frame is subsumed by the frame's own wall time.
-            self._nested = nested_at_entry + (clock() - frame_start)
+    def call_function(self, function, args):
+        if function.is_declaration or not self.profiler.enabled:
+            # Declarations are timed by _call_intrinsic.
+            return super().call_function(function, args)
+        return self._timed("fn:" + function.name, super().call_function, function, args)
 
     def _call_intrinsic(self, name, args):
-        profiler = self.profiler
-        if not profiler.enabled:
+        if not self.profiler.enabled:
             return super()._call_intrinsic(name, args)
+        return self._timed("intrinsic:" + name, super()._call_intrinsic, name, args)
+
+    def _timed(self, frame: str, call, target, args):
+        """Run ``call(target, args)``, accounting its exclusive time."""
+        profiler = self.profiler
         clock = profiler.clock
         nested_at_entry = self._nested
         start = clock()
         try:
-            return super()._call_intrinsic(name, args)
+            return call(target, args)
         finally:
             elapsed = clock() - start
             self_time = elapsed - (self._nested - nested_at_entry)
-            profiler.account(
-                ("vm", "intrinsic:" + name), self_time if self_time > 0.0 else 0.0
-            )
+            profiler.account(("vm", frame), self_time if self_time > 0.0 else 0.0)
+            # Replace (not add to) the ledger: nested work inside this
+            # call is subsumed by its own wall time.
             self._nested = nested_at_entry + elapsed

@@ -126,3 +126,31 @@ class TestBaselineDeltas:
         rc = perf_check.baseline_deltas({"x": 0.1}, baseline_path=str(baseline))
         assert rc == 1
         assert "unreadable baseline" in capsys.readouterr().err
+
+
+class TestVmHistoryGate:
+    def history(self, tmp_path, *walls):
+        history = tmp_path / "BENCH_history.jsonl"
+        snap = tmp_path / "BENCH_rosa.json"
+        for wall in walls:
+            snap.write_text(json.dumps(snapshot(wall=wall)))
+            perf_history.append_snapshot(
+                snapshot_path=str(snap), history_path=str(history), timestamp=1.0
+            )
+        return str(history)
+
+    def test_within_ratio_passes_against_latest_record(self, tmp_path, capsys):
+        # 0.14 s is a regression against the first record, not the latest.
+        history = self.history(tmp_path, 0.05, 0.1)
+        assert perf_check.check_vm_history(0.14, history_path=history) == 0
+        assert "1.40x" in capsys.readouterr().out
+
+    def test_beyond_ratio_and_floor_fails(self, tmp_path, capsys):
+        history = self.history(tmp_path, 0.1)
+        assert perf_check.check_vm_history(0.2, history_path=history) == 1
+        assert "regressed" in capsys.readouterr().err
+
+    def test_missing_history_fails_with_guidance(self, tmp_path, capsys):
+        missing = str(tmp_path / "none.jsonl")
+        assert perf_check.check_vm_history(0.1, history_path=missing) == 1
+        assert "make perf-history" in capsys.readouterr().err

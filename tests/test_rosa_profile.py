@@ -9,6 +9,8 @@ from repro.programs import spec_by_name
 from repro.rosa import check
 from repro.rosa.dsl import parse_query
 from repro.telemetry import ManualClock, Profiler
+from repro.vm import ProfilingInterpreter
+from repro.vm.intrinsics import SYSCALL_INTRINSICS
 
 pytestmark = pytest.mark.telemetry
 
@@ -109,12 +111,36 @@ class TestPipelineFrames:
         assert ("engine", "key_derivation") in stacks
         assert ("engine", "cache.lookup") in stacks
         assert ("vm",) in stacks
+        assert ("vm", "fn:main") in stacks
         assert any(
-            stack[0] == "vm" and stack[-1].startswith("op:") for stack in stacks
+            ("vm", "intrinsic:" + name) in stacks for name in SYSCALL_INTRINSICS
         )
-        assert ("vm", "intrinsic:__chrono_count") in stacks
         roots = profiler.to_report()["roots"]
         assert roots["vm"]["attributed_fraction"] >= 0.95
+
+    def test_profiled_run_executes_the_compiled_core(self, monkeypatch):
+        profiled_vms = []
+        original_run = ProfilingInterpreter.run
+
+        def recording_run(vm, *args, **kwargs):
+            profiled_vms.append(vm)
+            return original_run(vm, *args, **kwargs)
+
+        monkeypatch.setattr(ProfilingInterpreter, "run", recording_run)
+        spec = spec_by_name("passwd")
+        plain = PrivAnalyzer().analyze(spec)
+        profiled = PrivAnalyzer(profiler=Profiler()).analyze(spec)
+        assert profiled_vms
+        assert all(vm._compiled for vm in profiled_vms)
+        assert profiled.chrono.total == plain.chrono.total
+        assert profiled.render_table() == plain.render_table()
+        assert [
+            {attack: report.verdict for attack, report in phase.verdicts.items()}
+            for phase in profiled.phases
+        ] == [
+            {attack: report.verdict for attack, report in phase.verdicts.items()}
+            for phase in plain.phases
+        ]
 
     def test_cache_lookup_counters_match_engine_stats(self):
         profiler = Profiler()
