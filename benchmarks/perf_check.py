@@ -9,12 +9,16 @@ near-identical by construction.  Also asserts the cache actually engaged
 (passwd's 20 phase×attack queries hit 17 distinct keys, so the second
 run must be answered entirely from cache).
 
-Then gates the symmetry + partial-order reduction: every passwd and
-thttpd (repeat 2) phase×attack query is searched with reduction off and
-on, and the gate fails if any verdict or witness-existence differs, if
-any exhaustive reduced search saw more states than its raw twin, or if
-the thttpd batch — the search-dominated workload — did not see strictly
-fewer states in aggregate.
+Then gates the partial-order reduction (the only state-space reduction;
+symmetry canonicalization was retired): every passwd and thttpd
+(repeat 2) phase×attack query is searched with reduction off and on,
+and the gate fails if any verdict or witness-existence differs, if any
+exhaustive reduced search saw more states than its raw twin, or if the
+thttpd batch — the search-dominated workload, where POR prunes — did
+not see strictly fewer states in aggregate.  The per-state cost the
+retired symmetry layer added is tracked by the
+``passwdRef_rosa_repeat2_*`` entries of ``BENCH_rosa.json``, not gated
+here.
 
 Reduction must also pay for itself in *wall-clock*, not just states
 (:func:`check_reduction_wallclock`): the thttpd (repeat 2) reduced
@@ -267,8 +271,7 @@ def check_reduction_wallclock() -> int:
 
     * thttpd (repeat 2) — the search-dominated batch where reduction is
       active: the reduced engine must beat the unindexed/unreduced
-      baseline outright (this was 0.35x before lazy canonicalization
-      and the working ample-set POR);
+      baseline outright;
     * passwd — every search is tiny, so the engine downgrades to raw
       search (``REDUCTION_MIN_SPACE``): the reduction-default engine
       must cost no more than the reduction-off engine plus noise (a

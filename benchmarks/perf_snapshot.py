@@ -20,6 +20,10 @@ the cache hit rate, so future PRs have an apples-to-apples baseline:
 * ``thttpd_rosa_repeat3`` — the same stage at repeat 3 (the space grows
   another order of magnitude), where reduction's asymptotic win shows:
   baseline versus the reduced engine;
+* ``passwdRef_rosa_repeat2`` — the refactored passwd's searches at
+  repeat 2, baseline versus the reduced engine: the workload where the
+  retired symmetry reduction cost the most per state (partial-order
+  reduction alone runs here);
 * ``privsep_exposure_table`` — the multi-process study's exposure
   computation, whose phases heavily repeat credential tuples;
 * ``served_warm`` — the passwd ROSA batch answered by a *fresh* engine
@@ -147,7 +151,6 @@ def rosa_engine(pairs, engine: QueryEngine) -> Dict:
         "queries": len(pairs),
         "states_explored": sum(r.states_explored for r in live),
         "states_seen": sum(r.states_seen for r in live),
-        "symmetry_hits": sum(r.stats.symmetry_hits for r in live),
         "por_pruned": sum(r.stats.por_pruned for r in live),
         "cache_hit_rate": engine.cache.hit_rate if engine.cache else 0.0,
     }
@@ -165,8 +168,8 @@ def main(timestamp: Optional[float] = None) -> None:
             QueryEngine(budget=BUDGET, cache=QueryCache(), reduction=False),
         )
     )
-    # The same cold batch with symmetry + partial-order reduction on (the
-    # engine default): states_seen must never exceed the unreduced entry.
+    # The same cold batch with partial-order reduction on (the engine
+    # default): states_seen must never exceed the unreduced entry.
     entries["passwd_rosa_engine_cold_reduced"] = best_of(
         lambda: rosa_engine(passwd_pairs, QueryEngine(budget=BUDGET, cache=QueryCache()))
     )
@@ -230,14 +233,25 @@ def main(timestamp: Optional[float] = None) -> None:
 
     print("measuring thttpd ROSA stage (message repeat 3) ...", file=sys.stderr)
     # Repeat 3 is where reduction pays asymptotically: the raw space is
-    # another order of magnitude larger, and symmetry + POR prune a
-    # super-linear fraction of it.
+    # another order of magnitude larger, and POR prunes a super-linear
+    # fraction of it.
     thttpd3_pairs = phase_queries("thttpd", repeat=3)
     entries["thttpd_rosa_repeat3_baseline"] = best_of(
         lambda: rosa_baseline(thttpd3_pairs)
     )
     entries["thttpd_rosa_repeat3_engine_reduced"] = best_of(
         lambda: rosa_engine(thttpd3_pairs, QueryEngine(budget=BUDGET, cache=QueryCache()))
+    )
+
+    print("measuring passwdRef ROSA stage (message repeat 2) ...", file=sys.stderr)
+    passwd_ref_pairs = phase_queries("passwdRef", repeat=2)
+    entries["passwdRef_rosa_repeat2_baseline"] = best_of(
+        lambda: rosa_baseline(passwd_ref_pairs)
+    )
+    entries["passwdRef_rosa_repeat2_engine_reduced"] = best_of(
+        lambda: rosa_engine(
+            passwd_ref_pairs, QueryEngine(budget=BUDGET, cache=QueryCache())
+        )
     )
 
     print("measuring thttpd full pipeline (message repeat 3) ...", file=sys.stderr)
@@ -360,6 +374,10 @@ def main(timestamp: Optional[float] = None) -> None:
             "thttpd_rosa_repeat3_baseline"
         ]["wall_seconds"]
         / entries["thttpd_rosa_repeat3_engine_reduced"]["wall_seconds"],
+        "passwdRef_rosa_repeat2_reduced_vs_baseline": entries[
+            "passwdRef_rosa_repeat2_baseline"
+        ]["wall_seconds"]
+        / entries["passwdRef_rosa_repeat2_engine_reduced"]["wall_seconds"],
         "store_served_warm_vs_cold": entries["passwd_rosa_engine_cold_reduced"][
             "wall_seconds"
         ]

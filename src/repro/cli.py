@@ -146,7 +146,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--no-reduction", action="store_true",
-        help="disable symmetry + partial-order state-space reduction; "
+        help="disable partial-order state-space reduction; "
         "searches explore the raw state space (verdicts are identical)",
     )
     group.add_argument(
@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rosa.add_argument(
         "--no-reduction", action="store_true",
-        help="search the raw state space without symmetry/partial-order "
+        help="search the raw state space without partial-order "
         "reduction (verdicts are identical; states explored may grow)",
     )
     rosa.add_argument(
@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--max-seconds", type=float, default=60.0)
     profile.add_argument(
         "--no-reduction", action="store_true",
-        help="profile the raw search without symmetry/partial-order reduction",
+        help="profile the raw search without partial-order reduction",
     )
     profile.add_argument(
         "--limit", type=int, default=30, metavar="N",

@@ -117,7 +117,6 @@ def _report_record(
         "states_seen": report.states_seen,
         "peak_frontier": report.stats.peak_frontier,
         "max_depth": report.stats.max_depth,
-        "symmetry_hits": report.stats.symmetry_hits,
         "por_pruned": report.stats.por_pruned,
         "elapsed": report.elapsed,
         "from_cache": report.from_cache,
@@ -479,16 +478,17 @@ def _diff_verdicts(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) 
             # Reduction-stat drift (e.g. one side ran --no-reduction, or
             # the reduction got stronger/weaker) is worth surfacing but
             # is never a regression: verdict and witness already matched.
-            for stat in ("symmetry_hits", "por_pruned"):
-                was, now = before.get(stat, 0), after.get(stat, 0)
-                if was != now:
-                    findings.append(
-                        DiffFinding(
-                            "info", "verdict",
-                            f"{label}: {stat} {was} -> {now} "
-                            "(state-space reduction drift)",
-                        )
+            # Ledgers written before symmetry reduction was retired also
+            # carry a ``symmetry_hits`` counter; it is not compared.
+            was, now = before.get("por_pruned", 0), after.get("por_pruned", 0)
+            if was != now:
+                findings.append(
+                    DiffFinding(
+                        "info", "verdict",
+                        f"{label}: por_pruned {was} -> {now} "
+                        "(state-space reduction drift)",
                     )
+                )
 
 
 def _diff_exposure(

@@ -9,7 +9,9 @@ The paper implements ROSA in Maude with the Full-Maude object extension
 * :mod:`repro.rewriting.objects` — Object Maude configurations: multisets
   of objects and messages with canonical (associative-commutative) keys;
 * :mod:`repro.rewriting.search` — the bounded breadth-first ``search``
-  command with state/depth/time budgets and a tri-state outcome.
+  command with state/depth/time budgets and a tri-state outcome;
+* :mod:`repro.rewriting.reduction` — footprints and counters for
+  partial-order reduction.
 """
 
 from repro.rewriting.terms import (
@@ -40,15 +42,7 @@ from repro.rewriting.objects import (
     ObjectRule,
     ObjectSystem,
 )
-from repro.rewriting.reduction import (
-    Footprint,
-    ReductionStats,
-    TIE_CAP,
-    canonical_key,
-    footprint,
-    typed_fset,
-    typed_id,
-)
+from repro.rewriting.reduction import Footprint, ReductionStats, footprint
 from repro.rewriting.search import (
     MAX_RETAINED_SAMPLES,
     PROGRESS_INTERVAL,
@@ -83,19 +77,15 @@ __all__ = [
     "SearchResult",
     "SearchStats",
     "Substitution",
-    "TIE_CAP",
     "Term",
     "TermRule",
     "Var",
     "breadth_first_search",
-    "canonical_key",
     "footprint",
     "match",
     "matched_substitution",
     "search_terms",
     "normalize",
-    "typed_fset",
-    "typed_id",
     "op",
     "replace_at",
     "rewrite_once",

@@ -70,9 +70,7 @@ class SearchStats:
     dedup_hits: int = 0
     #: Deepest state expanded (rewrite-path length).
     max_depth: int = 0
-    #: Successor states merged because their symmetry-canonical key was
-    #: already visited under a different raw configuration (only with a
-    #: reduction layer installed; see :mod:`repro.rewriting.reduction`).
+    #: Always 0: kept so readers of the old symmetry counter still work.
     symmetry_hits: int = 0
     #: Pending messages deferred at ample states by partial-order
     #: reduction (only with a reduction layer installed).
@@ -147,7 +145,7 @@ def breadth_first_search(
     successors: Callable[[State], Iterable[Tuple[str, State]]],
     goal: Callable[[State], bool],
     budget: SearchBudget = SearchBudget(),
-    canonical: Callable[[State], Hashable] = lambda state: state,
+    canonical: Optional[Callable[[State], Hashable]] = None,
     track_states: bool = False,
     progress: Optional[Callable[[ProgressSample], None]] = None,
     progress_interval: int = PROGRESS_INTERVAL,
@@ -156,10 +154,12 @@ def breadth_first_search(
 ) -> SearchResult[State]:
     """Search breadth-first from ``initial`` for a state satisfying ``goal``.
 
-    ``successors`` yields ``(label, state)`` transitions; ``canonical``
-    maps a state to its hashable visited-set key (states with equal keys
-    are explored once — this is how associative-commutative configuration
-    equality is honoured without general AC rewriting).
+    ``successors`` yields ``(label, state)`` transitions; ``canonical``,
+    when given, maps a state to its hashable visited-set key (states with
+    equal keys are explored once).  Without it the state itself is the
+    key — configurations hash and compare by their associative-commutative
+    content, which is how AC equality is honoured without general AC
+    rewriting.
 
     The initial state itself is tested against ``goal`` first, matching
     Maude's ``=>*`` (zero or more rewrites).  With ``track_states`` the
@@ -241,7 +241,7 @@ def breadth_first_search(
         progress(reading)
 
     explored = 0
-    visited = {canonical(initial)}
+    visited = {initial if canonical is None else canonical(initial)}
     if goal(initial):
         return result(SearchOutcome.FOUND, initial, [], [initial])
 
@@ -266,7 +266,7 @@ def breadth_first_search(
             pruned_by_depth = True
             continue
         for label, nxt in successors(state):
-            key = canonical(nxt)
+            key = nxt if canonical is None else canonical(nxt)
             # Add-then-check-size dedup: one hash of the (deep) canonical
             # key per successor instead of a membership probe plus an add.
             size_before = len(visited)

@@ -42,7 +42,6 @@ def search_terms(
         system.successors,
         goal,
         budget=budget,
-        canonical=lambda term: term,
     )
 
 

@@ -81,7 +81,10 @@ logger = logging.getLogger("repro.rosa.engine")
 #: Version 4: keys hash per-element digests (memoized across queries)
 #: instead of re-``repr``-ing the whole configuration key per query —
 #: same determinism guarantees, different bytes under the hash.
-CACHE_SCHEMA_VERSION = 4
+#: Version 5: ``reduction=True`` means partial-order reduction only (no
+#: symmetry merging), so reduced entries carry different state counts
+#: and no ``symmetry_hits``; older caches and store objects are refused.
+CACHE_SCHEMA_VERSION = 5
 
 
 # -- cross-process file locking ----------------------------------------------
@@ -283,7 +286,6 @@ class CachedOutcome:
     peak_frontier: int
     dedup_hits: int
     max_depth: int
-    symmetry_hits: int = 0
     por_pruned: int = 0
 
     def to_json(self) -> Dict[str, Any]:
@@ -300,7 +302,6 @@ class CachedOutcome:
             peak_frontier=int(data.get("peak_frontier", 0)),
             dedup_hits=int(data.get("dedup_hits", 0)),
             max_depth=int(data.get("max_depth", 0)),
-            symmetry_hits=int(data.get("symmetry_hits", 0)),
             por_pruned=int(data.get("por_pruned", 0)),
         )
 
@@ -315,7 +316,6 @@ class CachedOutcome:
             peak_frontier=report.stats.peak_frontier,
             dedup_hits=report.stats.dedup_hits,
             max_depth=report.stats.max_depth,
-            symmetry_hits=report.stats.symmetry_hits,
             por_pruned=report.stats.por_pruned,
         )
 
@@ -333,7 +333,6 @@ class CachedOutcome:
                 peak_frontier=self.peak_frontier,
                 dedup_hits=self.dedup_hits,
                 max_depth=self.max_depth,
-                symmetry_hits=self.symmetry_hits,
                 por_pruned=self.por_pruned,
             ),
             from_cache=True,
@@ -613,7 +612,7 @@ class QueryEngine:
         #: scheduling records queue-wait versus execute time per worker
         #: under the ``engine`` root.
         self.profiler = profiler
-        #: Symmetry + partial-order state-space reduction for every
+        #: Partial-order state-space reduction for every
         #: search this engine runs (see :mod:`repro.rosa.independence`).
         #: Verdict-preserving; disable for baselines and differential
         #: runs.  Even when enabled, searches whose estimated raw space
@@ -658,7 +657,7 @@ class QueryEngine:
     def _effective_reduction(self, query: RosaQuery) -> bool:
         """The reduction flag for one query: the engine's setting,
         downgraded to a raw search when the estimated state space is too
-        small to repay the reducer's setup and per-state key derivation.
+        small to repay the reducer's setup and per-state ample probe.
 
         The gate lives here, not in :func:`repro.rosa.query.check`,
         because direct ``check`` calls are the measurement surface —
@@ -759,10 +758,6 @@ class QueryEngine:
             **extra,
         )
         metrics = self.telemetry.metrics
-        if report.stats.symmetry_hits:
-            metrics.counter("rosa.reduction.symmetry_hits").inc(
-                report.stats.symmetry_hits
-            )
         if report.stats.por_pruned:
             metrics.counter("rosa.reduction.por_pruned").inc(report.stats.por_pruned)
         return report

@@ -22,9 +22,8 @@ Goal = Callable[[Configuration], bool]
 def _with_footprint(goal: Goal, footprint: Optional[GoalFootprint]) -> Goal:
     """Attach the reduction footprint (see :mod:`repro.rosa.independence`).
 
-    The footprint states what the predicate reads — so partial-order
-    reduction knows which messages are *visible* — and which concrete
-    ids it mentions — so symmetry reduction pins them.  A goal without a
+    The footprint states what the predicate reads, so partial-order
+    reduction knows which messages are *visible*.  A goal without a
     footprint simply runs unreduced.
     """
     goal.footprint = footprint
@@ -46,9 +45,8 @@ def file_opened_for_read(fid: int, pid: Optional[int] = None) -> Goal:
                 return True
         return False
 
-    oids = frozenset({fid} if pid is None else {fid, pid})
     return _with_footprint(
-        goal, GoalFootprint(reads=frozenset({independence.PROC_FDS}), oids=oids)
+        goal, GoalFootprint(reads=frozenset({independence.PROC_FDS}))
     )
 
 
@@ -63,9 +61,8 @@ def file_opened_for_write(fid: int, pid: Optional[int] = None) -> Goal:
                 return True
         return False
 
-    oids = frozenset({fid} if pid is None else {fid, pid})
     return _with_footprint(
-        goal, GoalFootprint(reads=frozenset({independence.PROC_FDS}), oids=oids)
+        goal, GoalFootprint(reads=frozenset({independence.PROC_FDS}))
     )
 
 
@@ -84,10 +81,7 @@ def socket_bound_to_privileged_port(
 
     return _with_footprint(
         goal,
-        GoalFootprint(
-            reads=frozenset({independence.POP_SOCK, independence.SOCK_PORT}),
-            oids=frozenset() if pid is None else frozenset({pid}),
-        ),
+        GoalFootprint(reads=frozenset({independence.POP_SOCK, independence.SOCK_PORT})),
     )
 
 
@@ -99,10 +93,7 @@ def process_terminated(pid: int) -> Goal:
         return proc is not None and proc["state"] == model.STATE_DEAD
 
     return _with_footprint(
-        goal,
-        GoalFootprint(
-            reads=frozenset({independence.PROC_STATE}), oids=frozenset({pid})
-        ),
+        goal, GoalFootprint(reads=frozenset({independence.PROC_STATE}))
     )
 
 
@@ -116,9 +107,7 @@ def file_owner_is(fid: int, owner: int) -> Goal:
     return _with_footprint(
         goal,
         GoalFootprint(
-            reads=frozenset({independence.FILE_OWNER, independence.POP_FILE}),
-            oids=frozenset({fid}),
-            uids=frozenset({owner}),
+            reads=frozenset({independence.FILE_OWNER, independence.POP_FILE})
         ),
     )
 
@@ -141,8 +130,7 @@ def entry_removed(entry_id: int) -> Goal:
                     independence.POP_SOCK,
                     independence.OID_MAX,
                 }
-            ),
-            oids=frozenset({entry_id}),
+            )
         ),
     )
 

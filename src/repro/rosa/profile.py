@@ -1,9 +1,9 @@
 """Per-rule and per-reduction-phase cost attribution for ROSA search.
 
-:class:`ProfiledSearch` wraps the three callables
-:func:`repro.rewriting.breadth_first_search` already takes — successor
-function, canonical-key extractor, goal predicate — with timed versions
-that attribute every expansion's wall time to named frames under the
+:class:`ProfiledSearch` wraps the callables
+:func:`repro.rewriting.breadth_first_search` takes — successor
+function and goal predicate — with timed versions that
+attribute every expansion's wall time to named frames under the
 ``rosa.search`` root:
 
 ``rule:<label>``
@@ -16,19 +16,10 @@ that attribute every expansion's wall time to named frames under the
 ``reduction.ample``
     Partial-order ample-set computation (:meth:`RosaReducer._ample`).
     ``selected`` counts states where an ample set fired and every other
-    pending message was deferred; at repro scale this stays 0 because
-    every pending syscall message writes tokens the goal reads.
-``reduction.canonical.cache_hit`` / ``.fast_path`` / ``.canonicalize``
-    The symmetry layer's three outcomes: raw-configuration cache hit,
-    no-anonymous-ids fast path (the key *is* the configuration), and
-    lazy-key construction (the O(state) blinded signature).  The full
-    colour refinement is collision-triggered — it runs inside the
-    visited set's equality probes — so its wall time lands in
-    ``search.loop``; :meth:`ProfiledSearch.finish` surfaces its volume
-    as the ``resolved`` (bodies computed) and ``merges``
-    (``symmetry_hits``) counters on the canonicalize frame.
+    pending message was deferred.
 ``hash.incremental``
-    Hashing the visited-set key — O(1) by construction (configurations
+    Hashing each successor, as the visited set (keyed by the
+    configuration itself) will — O(1) by construction (configurations
     carry an incremental multiset hash), and the profile proves it.
 ``goal``
     Goal-predicate evaluations (``hits`` counts true answers).
@@ -56,16 +47,13 @@ from repro.telemetry.profiler import Profiler
 SEARCH_ROOT = "rosa.search"
 
 _AMPLE = (SEARCH_ROOT, "reduction.ample")
-_CACHE_HIT = (SEARCH_ROOT, "reduction.canonical.cache_hit")
-_FAST_PATH = (SEARCH_ROOT, "reduction.canonical.fast_path")
-_CANONICALIZE = (SEARCH_ROOT, "reduction.canonical.canonicalize")
 _HASH = (SEARCH_ROOT, "hash.incremental")
 _GOAL = (SEARCH_ROOT, "goal")
 _LOOP = (SEARCH_ROOT, "search.loop")
 
 
 class ProfiledSearch:
-    """Profiled successor/canonical/goal wrappers for one search.
+    """Profiled successor/goal wrappers for one search.
 
     Build one per :func:`repro.rosa.query.check` call, hand its bound
     methods to ``breadth_first_search``, then call :meth:`finish` with
@@ -92,20 +80,20 @@ class ProfiledSearch:
         self.profiler.account(stack, seconds)
         self.measured += seconds
 
-    # -- the three injected callables -----------------------------------------
+    # -- the injected callables ------------------------------------------------
 
     def successors(self, config: Configuration) -> List[Tuple[str, Configuration]]:
         profiler = self.profiler
         clock = profiler.clock
         reducer = self.reducer
-        if reducer is not None and reducer.por:
+        if reducer is not None:
             start = clock()
             ample = reducer._ample(config)
             self._account(_AMPLE, clock() - start)
             if ample is not None:
                 profiler.count(_AMPLE, "selected")
                 profiler.count(_AMPLE, "applications", len(ample))
-                return ample
+                return self._hashed(ample)
         # Replicate ObjectSystem.successors (trigger index, rule order)
         # with the per-rule enumeration materialised so each timed window
         # covers exactly one rule's rewrites — a generator would charge
@@ -131,38 +119,19 @@ class ProfiledSearch:
                 )
                 for result in results:
                     out.append((rule.label, result))
-        return out
+        return self._hashed(out)
 
-    def canonical(self, config: Configuration):
+    def _hashed(
+        self, transitions: List[Tuple[str, Configuration]]
+    ) -> List[Tuple[str, Configuration]]:
+        # Time the (incremental, O(1)) hash the visited set will take of
+        # every successor.
         clock = self.profiler.clock
-        reducer = self.reducer
-        if reducer is None:
-            # Unreduced searches key the visited set by the configuration
-            # itself; time the (incremental, O(1)) hash the set will take.
-            start = clock()
+        start = clock()
+        for _, config in transitions:
             hash(config)
-            self._account(_HASH, clock() - start)
-            return config
-        start = clock()
-        if config in reducer._canon:
-            key = reducer.canonical(config)
-            self._account(_CACHE_HIT, clock() - start)
-        else:
-            key = reducer.canonical(config)
-            elapsed = clock() - start
-            if key is config:
-                self._account(_FAST_PATH, elapsed)
-            else:
-                # Lazy-key construction: the blinded signature only.  The
-                # colour refinement itself now runs inside the visited
-                # set's equality probes (hash collisions), which land in
-                # the search.loop remainder; finish() surfaces its volume
-                # via the ``resolved``/``merges`` counters.
-                self._account(_CANONICALIZE, elapsed)
-        start = clock()
-        hash(key)
         self._account(_HASH, clock() - start)
-        return key
+        return transitions
 
     def goal(self, config: Configuration) -> bool:
         clock = self.profiler.clock
@@ -190,18 +159,6 @@ class ProfiledSearch:
         if remainder > 0.0:
             profiler.account(_LOOP, remainder)
             profiler.count(_LOOP, "derived")
-        reducer = self.reducer
-        if reducer is not None:
-            # Colour refinement is collision-triggered under lazy keys and
-            # runs inside set equality probes; report its totals here.
-            if reducer.stats.canonicalized:
-                profiler.count(
-                    _CANONICALIZE, "resolved", reducer.stats.canonicalized
-                )
-            if reducer.stats.symmetry_hits:
-                profiler.count(
-                    _CANONICALIZE, "merges", reducer.stats.symmetry_hits
-                )
 
 
 def profiled_callables(

@@ -144,18 +144,19 @@ def check(
     so long-running searches (the paper's 5-hour budgets) are observable
     while they run.
 
-    ``reduction`` enables symmetry + partial-order state-space reduction
+    ``reduction`` enables partial-order state-space reduction
     (:mod:`repro.rosa.independence`) when the query is eligible — the
-    goal declares a footprint and the system is the stock UNIX module.
-    Reduction preserves the verdict and witness existence; pass
-    ``reduction=False`` to search the raw state space (baselines,
-    differential testing).
+    goal declares a footprint, the system is the stock UNIX module and
+    the budget sets no depth bound.  Reduction preserves the verdict and
+    witness existence; pass ``reduction=False`` to search the raw state
+    space (baselines, differential testing).  Either way the visited set
+    keys states by the configuration itself.
 
     ``profiler``, when live, attributes the search's wall time to named
     rules and reduction phases (:mod:`repro.rosa.profile`) by wrapping
-    the three injectable callables — the search loop itself is
-    unchanged, so the verdict and every cost counter are bit-identical
-    with or without it.
+    the injectable callables — the search loop itself is unchanged, so
+    the verdict and every cost counter are bit-identical with or without
+    it.
     """
     system = query.system or unix_system()
     reducer = (
@@ -164,22 +165,13 @@ def check(
         else None
     )
     goal = query.goal
-    if reducer is not None:
-        successors = reducer.successors
-        canonical = reducer.canonical
-    else:
-        successors = system.successors
-        # Configurations hash incrementally (see rewriting.objects), so
-        # the state itself is its visited-set key — no full-key
-        # materialisation per successor.
-        canonical = lambda config: config  # noqa: E731
+    successors = reducer.successors if reducer is not None else system.successors
     profiled = None
     if profiler is not None and profiler.enabled:
         from repro.rosa.profile import profiled_callables
 
         profiled = profiled_callables(profiler, system, reducer, query.goal)
         successors = profiled.successors
-        canonical = profiled.canonical
         goal = profiled.goal
     with tracer.span("rosa.query", query=query.name) as span:
         search_start = profiler.clock() if profiled is not None else 0.0
@@ -188,7 +180,6 @@ def check(
             successors,
             goal,
             budget=budget,
-            canonical=canonical,
             track_states=track_states,
             progress=progress,
             progress_interval=progress_interval,
@@ -197,7 +188,6 @@ def check(
         if profiled is not None:
             profiled.finish(profiler.clock() - search_start)
         if reducer is not None:
-            result.stats.symmetry_hits = reducer.stats.symmetry_hits
             result.stats.por_pruned = reducer.stats.por_pruned
         if result.outcome is SearchOutcome.FOUND:
             verdict = Verdict.VULNERABLE
@@ -211,7 +201,6 @@ def check(
         span.set_attribute("peak_frontier", result.stats.peak_frontier)
         span.set_attribute("reduction", reducer is not None)
         if reducer is not None:
-            span.set_attribute("symmetry_hits", reducer.stats.symmetry_hits)
             span.set_attribute("por_pruned", reducer.stats.por_pruned)
     logger.debug(
         "query %s: %s (%d states, %.1f ms)",

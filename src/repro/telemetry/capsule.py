@@ -250,13 +250,8 @@ class CapsuleCollector:
         metrics.counter("rosa.worker.queries").inc()
         metrics.counter("rosa.worker.states_explored").inc(report.states_explored)
         stats = getattr(report, "stats", None)
-        if stats is not None:
-            if stats.symmetry_hits:
-                metrics.counter("rosa.reduction.symmetry_hits").inc(
-                    stats.symmetry_hits
-                )
-            if stats.por_pruned:
-                metrics.counter("rosa.reduction.por_pruned").inc(stats.por_pruned)
+        if stats is not None and stats.por_pruned:
+            metrics.counter("rosa.reduction.por_pruned").inc(stats.por_pruned)
 
     def capsule(self) -> TelemetryCapsule:
         """Pack everything collected so far into one picklable capsule."""

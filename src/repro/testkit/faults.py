@@ -217,6 +217,50 @@ def _store_attestation_skew() -> Callable[[], None]:
     return undo
 
 
+@fault("por-unsound-ample")
+def _por_unsound_ample() -> Callable[[], None]:
+    """Partial-order reduction treats every pending message as inert.
+
+    Models an over-eager independence judgement: ``_classify_inert``
+    marks every pending message *forever inert*, so at each state the
+    first enabled message in sort order becomes the whole ample set and
+    every other pending message is deferred — even one it disables (a
+    ``SIGKILL`` that kills the attacker before a ``setuid`` could reach
+    the victim's uid).  The reducer's per-state purity check would turn
+    such a label back into a plain footprint decision, so the fault also
+    switches that check off (``_pure_transitions`` stops comparing each
+    result with the pure consume) — a wrong label alone costs reduction,
+    never a verdict.  Reduced searches then miss reachable goal states
+    and report INVULNERABLE where the raw search finds a witness, which
+    the ``reduction-parity`` oracle family catches.  The ``cache``
+    family is blind: it compares cache-on with cache-off, and both run
+    the same broken reducer.
+    """
+    from repro.rosa.independence import RosaReducer
+
+    original_classify = RosaReducer._classify_inert
+    original_pure = RosaReducer._pure_transitions
+
+    def everything_inert(self, initial):
+        return dict.fromkeys(original_classify(self, initial), True)
+
+    def unchecked_transitions(self, config, msg):
+        return [
+            (rule.label, result)
+            for rule in self._rules_by_name.get(msg.name, ())
+            for result in rule.rewrites_for_message(config, msg)
+        ]
+
+    RosaReducer._classify_inert = everything_inert
+    RosaReducer._pure_transitions = unchecked_transitions
+
+    def undo() -> None:
+        RosaReducer._classify_inert = original_classify
+        RosaReducer._pure_transitions = original_pure
+
+    return undo
+
+
 @dataclasses.dataclass(frozen=True)
 class CrashingSpec:
     """A picklable query spec whose ``build()`` kills its process.

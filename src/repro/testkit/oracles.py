@@ -727,7 +727,7 @@ def _run_reduction_parity(case: Case) -> OracleResult:
 _register(
     OracleFamily(
         name="reduction-parity",
-        description="symmetry/partial-order reduction preserves verdicts "
+        description="partial-order reduction preserves verdicts "
         "and never explores more states",
         generate=generators.gen_query_case,
         run=_run_reduction_parity,

@@ -149,7 +149,6 @@ class TestCapsuleCollector:
         collector = CapsuleCollector(CapsuleRequest(trace=False))
 
         class Stats:
-            symmetry_hits = 7
             por_pruned = 2
 
         class Report:
@@ -160,7 +159,6 @@ class TestCapsuleCollector:
         snapshot = collector.capsule().metrics
         assert snapshot["rosa.worker.queries"]["value"] == 1
         assert snapshot["rosa.worker.states_explored"]["value"] == 41
-        assert snapshot["rosa.reduction.symmetry_hits"]["value"] == 7
         assert snapshot["rosa.reduction.por_pruned"]["value"] == 2
 
 

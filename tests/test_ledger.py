@@ -19,7 +19,7 @@ from repro.core.ledger import (
 from repro.programs import spec_by_name
 from repro.rosa import SearchBudget, check
 from repro.rosa.dsl import parse_query
-from repro.telemetry import ManualClock, Telemetry
+from repro.telemetry import ManualClock, Profiler, Telemetry
 
 pytestmark = pytest.mark.telemetry
 
@@ -242,6 +242,65 @@ class TestDiff:
         assert finding.to_dict() == {
             "severity": "regression", "kind": "verdict", "message": "flip",
         }
+
+
+class TestSymmetryEraLedgers:
+    """Ledgers captured while symmetry reduction existed still diff clean.
+
+    A pre-POR-only ledger carries a ``symmetry_hits`` counter in every
+    ``verdicts.json`` record and ``reduction.canonical.*`` stacks in its
+    profile; a current capture has neither.  Neither difference may be
+    reported as a regression — at most as information.
+    """
+
+    def test_dropped_counter_and_profile_stacks_are_not_regressions(
+        self, tmp_path
+    ):
+        clock = ManualClock(tick=0.001)
+        telemetry = Telemetry.enabled(clock=clock)
+        profiler = Profiler(clock=clock)
+        analyzer = PrivAnalyzer(telemetry=telemetry, profiler=profiler)
+        analysis = analyzer.analyze(spec_by_name("ping"))
+        after = capture_analysis(
+            tmp_path / "after", analysis, telemetry, profiler=profiler,
+            timestamp=1234.5,
+        )
+        verdicts = json.loads((after.root / "verdicts.json").read_text())
+        assert verdicts and all("symmetry_hits" not in r for r in verdicts)
+        assert after.profile is not None
+
+        def symmetry_era_verdicts(data):
+            for record in data:
+                record["symmetry_hits"] = 3
+
+        def symmetry_era_profile(data):
+            template = data["records"][0]
+            for outcome in ("cache_hit", "fast_path", "canonicalize"):
+                data["records"].append(
+                    {
+                        **template,
+                        "stack": ["rosa.search", "reduction.canonical." + outcome],
+                        "seconds": 0.25,
+                    }
+                )
+
+        before = reload_with(after, "verdicts.json", symmetry_era_verdicts)
+        before = dataclasses.replace(
+            before,
+            profile=reload_with(
+                after, "profile.json", symmetry_era_profile
+            ).profile,
+        )
+        assert before.verdicts[0]["symmetry_hits"] == 3
+
+        diff = diff_ledgers(before, after)
+        assert diff.clean, [f.message for f in diff.regressions]
+        related = [
+            f for f in diff.findings
+            if "symmetry" in f.message or "reduction.canonical" in f.message
+        ]
+        assert related  # the vanished stacks are still reported ...
+        assert all(f.severity == "info" for f in related)  # ... as info
 
 
 def fleet_section(execute, tasks=None):

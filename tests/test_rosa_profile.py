@@ -36,7 +36,6 @@ class TestParity:
         assert profiled.stats.peak_frontier == plain.stats.peak_frontier
         assert profiled.stats.dedup_hits == plain.stats.dedup_hits
         assert profiled.stats.max_depth == plain.stats.max_depth
-        assert profiled.stats.symmetry_hits == plain.stats.symmetry_hits
         assert profiled.stats.por_pruned == plain.stats.por_pruned
         assert profiler.records  # and the profiler actually saw the search
 
@@ -84,14 +83,8 @@ class TestAttribution:
         profiler = Profiler()
         check(figure2_query(), reduction=True, profiler=profiler)
         names = {stack[1] for stack in profiler.records if len(stack) == 2}
-        # Every canonicalization outcome is a distinct frame, plus the
-        # ample-set probe and the hash cost.
+        # The ample-set probe and the hash cost are distinct frames.
         assert "reduction.ample" in names
-        assert names & {
-            "reduction.canonical.cache_hit",
-            "reduction.canonical.fast_path",
-            "reduction.canonical.canonicalize",
-        }
         assert "hash.incremental" in names
         assert "goal" in names
 

@@ -398,3 +398,96 @@ class TestEngineIntegration:
             query, BUDGET, reduction=engine._effective_reduction(query)
         )
         assert store._path(key).exists()
+
+
+# -- cache schema 5: entries from the symmetry-reduction build fail closed -----
+
+
+def symmetry_era_outcome(verdict: str) -> dict:
+    """A cache-schema-4 outcome payload, as the symmetry build wrote it."""
+    return {
+        "verdict": verdict,
+        "witness": [],
+        "states_explored": 3,
+        "states_seen": 2,
+        "elapsed": 0.001,
+        "peak_frontier": 1,
+        "dedup_hits": 0,
+        "max_depth": 1,
+        "symmetry_hits": 5,
+        "por_pruned": 0,
+    }
+
+
+class TestSchemaFourIsRefused:
+    """``reduction=True`` changed meaning at cache schema 5 (POR only).
+
+    A v4 store object or ``--query-cache`` file must never be served,
+    even where its key matches: the planted entries below carry a wrong
+    verdict, so serving either one would be visible in the answer.
+    """
+
+    def test_v4_store_object_is_rejected_and_recomputed(self, tmp_path):
+        store = SharedVerdictStore(tmp_path)
+        engine = QueryEngine(budget=BUDGET, cache=QueryCache(), store=store)
+        query = shadow_query()
+        key = query_cache_key(
+            query, BUDGET, reduction=engine._effective_reduction(query)
+        )
+        outcome = symmetry_era_outcome("invulnerable")
+        material = json.dumps(
+            {
+                "schema": STORE_SCHEMA_VERSION,
+                "cache_schema": 4,
+                "key": key,
+                "signature": store.signature,
+                "outcome": outcome,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        path = store._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": STORE_SCHEMA_VERSION,
+                    "cache_schema": 4,
+                    "key": key,
+                    "signature": store.signature,
+                    "outcome": outcome,
+                    "attestation": hashlib.sha256(material.encode()).hexdigest(),
+                }
+            )
+        )
+
+        report = engine.check(query)
+        assert store.rejected == 1
+        assert store.hits == 0
+        assert not report.from_cache  # searched live
+        assert report.verdict.value == "vulnerable"
+        assert report.stats.symmetry_hits == 0
+        # The live answer replaced the stale object (the repair path).
+        assert store.published == 1
+        assert SharedVerdictStore(tmp_path).get(key).verdict == "vulnerable"
+
+    def test_v4_cache_file_is_discarded_and_recomputed(self, tmp_path):
+        query = shadow_query()
+        path = tmp_path / "cache.json"
+        probe = QueryEngine(budget=BUDGET, cache=QueryCache())
+        key = query_cache_key(
+            query, BUDGET, reduction=probe._effective_reduction(query)
+        )
+        path.write_text(
+            json.dumps(
+                {"version": 4, "entries": {key: symmetry_era_outcome("invulnerable")}}
+            )
+        )
+
+        cache = QueryCache(path=str(path))
+        assert len(cache) == 0
+        assert read_cache_entries(str(path)) == {}
+        report = QueryEngine(budget=BUDGET, cache=cache).check(query)
+        assert not report.from_cache
+        assert report.verdict.value == "vulnerable"
+        assert cache.misses == 1 and cache.hits == 0

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.rosa.independence import REDUCTION_MIN_SPACE, estimated_space
 from repro.testkit.faults import FAULTS, install_fault
 from repro.testkit.fuzz import (
     REPRO_SCHEMA_VERSION,
@@ -18,6 +19,7 @@ from repro.testkit.fuzz import (
     replay_repro,
     run_campaign,
 )
+from repro.testkit.generators import build_query_request
 from repro.testkit.oracles import ALL_FAMILIES, DEFAULT_FAMILIES, family
 from repro.testkit.reference import ReferenceInterpreter
 
@@ -29,6 +31,23 @@ MUL_CASE = {
     "permitted": [],
     "uid": 1000,
     "gid": 1000,
+}
+
+#: Attack 4 (kill sshd) for a process that must change uid to the
+#: server's first.  ``kill`` sorts before the uid family and can already
+#: kill the process itself, so an ample set that trusts a wrong "forever
+#: inert" label for it kills the attacker first and loses the witness —
+#: deterministically trips the por-unsound-ample fault.  Repeat 3 puts
+#: the estimated space at the engine's reduction threshold, so engine
+#: searches (the cache family's) run the reducer too.
+POR_CASE = {
+    "attack": 4,
+    "caps": ["CapSetuid"],
+    "uids": [1000, 1000, 1000],
+    "gids": [1000, 1000, 1000],
+    "surface": ["kill", "setuid", "seteuid", "setresuid"],
+    "repeat": 3,
+    "max_states": 20_000,
 }
 
 
@@ -130,6 +149,39 @@ class TestFaultInjection:
         with install_fault("store-attestation-skew"):
             assert oracle.run(case).ok
 
+    def test_por_fault_caught_by_reduction_parity_oracle(self):
+        oracle = family("reduction-parity")
+        assert oracle.run(POR_CASE).ok
+        with install_fault("por-unsound-ample"):
+            result = oracle.run(POR_CASE)
+        assert result.failed
+        assert "verdict(raw): 'vulnerable'" in result.details
+        assert "verdict(reduced): 'invulnerable'" in result.details
+        assert oracle.run(POR_CASE).ok
+
+    def test_purity_guard_neutralizes_a_wrong_inert_label(self, monkeypatch):
+        # The fault's mislabelling alone, with the per-state purity check
+        # left in place: every impure "inert" message falls back to the
+        # footprint path, so reduced and raw verdicts still agree.
+        from repro.rosa.independence import RosaReducer
+
+        classify = RosaReducer._classify_inert
+        monkeypatch.setattr(
+            RosaReducer,
+            "_classify_inert",
+            lambda self, initial: dict.fromkeys(classify(self, initial), True),
+        )
+        assert family("reduction-parity").run(POR_CASE).ok
+
+    def test_por_fault_is_invisible_to_cache_oracle(self):
+        # Cache-on and cache-off searches run the same broken reducer,
+        # so only the reduced-vs-raw comparison can see the fault.
+        query = build_query_request(POR_CASE).query
+        assert estimated_space(query.initial) >= REDUCTION_MIN_SPACE
+        oracle = family("cache")
+        with install_fault("por-unsound-ample"):
+            assert oracle.run({"queries": [POR_CASE]}).ok
+
     def test_unknown_fault_is_an_error(self):
         with pytest.raises(ValueError, match="unknown fault"):
             with install_fault("no-such-fault"):
@@ -141,6 +193,7 @@ class TestFaultInjection:
         assert "cache-verdict-flip" in FAULTS
         assert "profile-ledger-skew" in FAULTS
         assert "store-attestation-skew" in FAULTS
+        assert "por-unsound-ample" in FAULTS
 
 
 class TestCampaignShrinkAndReplay:
