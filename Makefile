@@ -54,6 +54,10 @@ trace-smoke:
 # Run-ledger smoke test: two identical analyze runs must diff clean
 # (exit 0).  The wide perf tolerance keeps CI timing noise out of the
 # gate; verdicts, exposure and syscall surfaces are compared exactly.
+# Then a cold and a warm run over one --verdict-store (the only way
+# verdicts outlive a process): the cold run must publish, the warm run
+# must be served from the store without publishing, and the warm
+# ledger must diff clean against run1.
 ledger-smoke:
 	rm -rf $(LEDGER_SMOKE_DIR)
 	PYTHONPATH=src python -m repro.cli analyze passwd \
@@ -62,6 +66,22 @@ ledger-smoke:
 		--ledger $(LEDGER_SMOKE_DIR)/run2 > /dev/null
 	PYTHONPATH=src python -m repro.cli diff \
 		$(LEDGER_SMOKE_DIR)/run1 $(LEDGER_SMOKE_DIR)/run2 \
+		--perf-tolerance 3.0
+	for run in cold warm; do \
+		PYTHONPATH=src python -m repro.cli analyze passwd \
+			--verdict-store $(LEDGER_SMOKE_DIR)/store \
+			--ledger $(LEDGER_SMOKE_DIR)/$$run > /dev/null || exit 1; done
+	PYTHONPATH=src python -c "\
+	import json; \
+	cold = json.load(open('$(LEDGER_SMOKE_DIR)/cold/cache.json'))['store']; \
+	warm = json.load(open('$(LEDGER_SMOKE_DIR)/warm/cache.json'))['store']; \
+	assert cold['published'] > 0, f'cold run published nothing: {cold}'; \
+	assert warm['hits'] > 0, f'warm run was not store-served: {warm}'; \
+	assert warm['published'] == 0, f'warm run published again: {warm}'; \
+	print(f'ledger-smoke store ok: cold published {cold[\"published\"]}, ' \
+	      f'warm served {warm[\"hits\"]} from the store')"
+	PYTHONPATH=src python -m repro.cli diff \
+		$(LEDGER_SMOKE_DIR)/run1 $(LEDGER_SMOKE_DIR)/warm \
 		--perf-tolerance 3.0
 
 # Hot-path profiler smoke test: a profiled analyze run must emit a

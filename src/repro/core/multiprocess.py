@@ -11,7 +11,6 @@ all of them.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List
 
 from repro.autopriv import transform_module
@@ -104,17 +103,9 @@ class MultiProcessAnalysis:
         return "\n\n".join(chunks)
 
 
-def analyze_multiprocess(
-    spec: ProgramSpec, verdict_store=None
-) -> MultiProcessAnalysis:
+def analyze_multiprocess(spec: ProgramSpec) -> MultiProcessAnalysis:
     """Compile, transform, instrument and run ``spec`` with per-process
-    ChronoPriv recorders (main process + every ``spawn_wait`` child).
-
-    ``verdict_store`` (a path or an open :class:`repro.rosa.store.
-    SharedVerdictStore`) backs the analysis's query engine with the
-    fleet-wide L2, so exposure tables across concurrent studies share
-    their searches.
-    """
+    ChronoPriv recorders (main process + every ``spawn_wait`` child)."""
     module = compile_source(spec.source, spec.name)
     transform_module(module, spec.permitted)
     instrument_module(module)
@@ -153,17 +144,10 @@ def analyze_multiprocess(
     reports = [main_recorder.report()] + [
         recorder.report() for recorder in child_recorders
     ]
-    analysis = MultiProcessAnalysis(
+    return MultiProcessAnalysis(
         spec=spec,
         module=module,
         reports=reports,
         stdout=vm.stdout,
         exit_code=exit_code,
     )
-    if verdict_store is not None:
-        if isinstance(verdict_store, (str, os.PathLike)):
-            from repro.rosa.store import SharedVerdictStore
-
-            verdict_store = SharedVerdictStore(verdict_store)
-        analysis.engine.store = verdict_store
-    return analysis

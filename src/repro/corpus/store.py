@@ -4,9 +4,9 @@ One JSON file per profile, named by :func:`repro.corpus.profile.
 profile_key` — the sha256 of everything that can change the result.  A
 warm sweep over an unchanged corpus therefore reads every profile from
 disk and runs the pipeline zero times; editing one program invalidates
-exactly its entry.  Writes are atomic (tempfile + ``os.replace``),
-mirroring the query cache's persistence discipline, so a crashed sweep
-never leaves a torn profile behind.
+exactly its entry.  Writes are atomic (tempfile + ``os.replace``), like
+the shared verdict store's publishes, so a crashed sweep never leaves a
+torn profile behind.
 """
 
 from __future__ import annotations

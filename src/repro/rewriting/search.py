@@ -75,6 +75,10 @@ class SearchStats:
     #: Pending messages deferred at ample states by partial-order
     #: reduction (only with a reduction layer installed).
     por_pruned: int = 0
+    #: Why the search stopped: ``goal``, ``exhausted``, or the budget
+    #: limit that ran out (``max_states``, ``max_depth``, ``max_seconds``).
+    #: Only ``max_seconds`` depends on the host's speed and load.
+    stop_reason: str = ""
     #: Periodic readings, oldest first (only with a progress callback).
     samples: List[ProgressSample] = dataclasses.field(default_factory=list)
 
@@ -180,29 +184,28 @@ def breadth_first_search(
     max_depth = 0
     samples: List[ProgressSample] = []
 
-    def stats() -> SearchStats:
-        return SearchStats(
-            peak_frontier=peak_frontier,
-            dedup_hits=dedup_hits,
-            max_depth=max_depth,
-            samples=samples,
-        )
-
     def result(
         outcome: SearchOutcome,
-        state: Optional[State],
-        path: List[str],
+        stop_reason: str,
+        state: Optional[State] = None,
+        path: Optional[List[str]] = None,
         path_states: Optional[List[State]] = None,
     ) -> SearchResult[State]:
         return SearchResult(
             outcome=outcome,
             state=state,
-            path=path,
+            path=path or [],
             states_explored=explored,
             states_seen=len(visited),
             elapsed=clock() - start,
             path_states=path_states or [],
-            stats=stats(),
+            stats=SearchStats(
+                peak_frontier=peak_frontier,
+                dedup_hits=dedup_hits,
+                max_depth=max_depth,
+                samples=samples,
+                stop_reason=stop_reason,
+            ),
         )
 
     def sample(depth: int, frontier_size: int) -> None:
@@ -243,7 +246,7 @@ def breadth_first_search(
     explored = 0
     visited = {initial if canonical is None else canonical(initial)}
     if goal(initial):
-        return result(SearchOutcome.FOUND, initial, [], [initial])
+        return result(SearchOutcome.FOUND, "goal", initial, [], [initial])
 
     # Each frontier entry: (state, depth, path-of-labels, path-of-states).
     # Paths share structure via tuples to keep memory linear in the
@@ -253,7 +256,7 @@ def breadth_first_search(
     pruned_by_depth = False
     while frontier:
         if budget.max_seconds is not None and clock() - start > budget.max_seconds:
-            return result(SearchOutcome.BUDGET_EXCEEDED, None, [])
+            return result(SearchOutcome.BUDGET_EXCEEDED, "max_seconds")
         state, depth, path, states = frontier.popleft()
         explored += 1
         if depth > max_depth:
@@ -278,13 +281,17 @@ def breadth_first_search(
             next_states = states + (nxt,) if track_states else ()
             if goal(nxt):
                 return result(
-                    SearchOutcome.FOUND, nxt, list(next_path), list(next_states)
+                    SearchOutcome.FOUND,
+                    "goal",
+                    nxt,
+                    list(next_path),
+                    list(next_states),
                 )
             if budget.max_states is not None and len(visited) > budget.max_states:
-                return result(SearchOutcome.BUDGET_EXCEEDED, None, [])
+                return result(SearchOutcome.BUDGET_EXCEEDED, "max_states")
             frontier.append((nxt, depth + 1, next_path, next_states))
             if len(frontier) > peak_frontier:
                 peak_frontier = len(frontier)
     if pruned_by_depth:
-        return result(SearchOutcome.BUDGET_EXCEEDED, None, [])
-    return result(SearchOutcome.EXHAUSTED, None, [])
+        return result(SearchOutcome.BUDGET_EXCEEDED, "max_depth")
+    return result(SearchOutcome.EXHAUSTED, "exhausted")

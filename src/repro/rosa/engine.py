@@ -11,14 +11,18 @@ redundancy free:
 * :func:`query_cache_key` derives a deterministic **canonical key** for a
   query from its initial configuration's canonical key, its goal
   identity, the rule system and the search budget;
-* :class:`QueryCache` memoizes verdicts by canonical key — an in-memory
-  LRU with optional on-disk JSON persistence, so repeated questions are
-  answered in O(1) instead of re-running the BFS;
+* :class:`QueryCache` memoizes verdicts by canonical key in an
+  in-memory LRU, so repeated questions are answered in O(1) instead of
+  re-running the BFS;
 * :class:`QueryEngine` is the batch front end: :meth:`QueryEngine.check`
   is a cache-aware drop-in for :func:`repro.rosa.query.check`, and
   :meth:`QueryEngine.run_queries` dedupes a batch by canonical key and
   fans the distinct searches out over ``concurrent.futures`` (a process
   pool for paper-scale budgets, threads or serial execution otherwise).
+
+Verdicts outlive the process only through the engine's optional L2, the
+attested :class:`~repro.rosa.store.SharedVerdictStore` (``--verdict-store
+DIR``); this module itself does no file I/O.
 
 Caching never changes a verdict: two queries share a cache entry only
 when their initial configurations are AC-equal, their goals are
@@ -29,19 +33,14 @@ exactly the conditions under which the bounded search is deterministic.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
-import errno
 import functools
 import hashlib
-import json
 import logging
 import os
-import tempfile
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.rewriting import (
     PROGRESS_INTERVAL,
@@ -71,7 +70,7 @@ from repro.telemetry.tracing import NULL_TRACER
 logger = logging.getLogger("repro.rosa.engine")
 
 #: Bump when the cache entry format or the key derivation changes;
-#: persisted caches with another version are discarded, not misread.
+#: store objects with another version are rejected, not misread.
 #: Version 2: the reduction flag joined the key material and cached
 #: outcomes grew the reduction counters.
 #: Version 3: lazy canonicalization and working partial-order reduction
@@ -84,58 +83,10 @@ logger = logging.getLogger("repro.rosa.engine")
 #: Version 5: ``reduction=True`` means partial-order reduction only (no
 #: symmetry merging), so reduced entries carry different state counts
 #: and no ``symmetry_hits``; older caches and store objects are refused.
-CACHE_SCHEMA_VERSION = 5
-
-
-# -- cross-process file locking ----------------------------------------------
-
-
-@contextlib.contextmanager
-def advisory_lock(
-    path: str, timeout: float = 10.0, stale_after: float = 30.0
-) -> Iterator[None]:
-    """An advisory cross-process lock around ``path`` (a ``.lock`` sibling).
-
-    Lockfile-based (``O_CREAT | O_EXCL``), so it works on any filesystem
-    the cache or the shared verdict store can live on — no ``fcntl``
-    dependency, no byte-range semantics to get wrong over NFS.  Waiting
-    processes poll; a lockfile older than ``stale_after`` seconds is
-    treated as an orphan (its holder crashed between acquire and
-    release) and broken.  Raises ``TimeoutError`` if the lock cannot be
-    won inside ``timeout`` seconds — callers must fail loudly rather
-    than scribble over a file another process is merging.
-    """
-    lock_path = path + ".lock"
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except OSError as error:
-            if error.errno != errno.EEXIST:
-                raise
-        try:
-            age = time.time() - os.stat(lock_path).st_mtime
-            if age > stale_after:
-                # The holder died without releasing; break the orphan.
-                # (A racing breaker just loses the unlink — harmless.)
-                logger.warning("breaking stale lock %s (age %.1fs)", lock_path, age)
-                os.unlink(lock_path)
-                continue
-        except OSError:
-            pass  # the holder released between our open and stat
-        if time.monotonic() >= deadline:
-            raise TimeoutError(f"could not acquire {lock_path} in {timeout}s")
-        time.sleep(0.002)
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
-        yield
-    finally:
-        try:
-            os.unlink(lock_path)
-        except OSError:  # pragma: no cover - already broken as stale
-            pass
+#: Version 6: outcomes carry the search's ``stop_reason``, which the store
+#: needs to refuse wall-clock TIMEOUTs; v5 objects lack it, so they are
+#: refused rather than served with an unknown reason.
+CACHE_SCHEMA_VERSION = 6
 
 
 # -- canonical query keys -----------------------------------------------------
@@ -246,8 +197,8 @@ def query_cache_key(
     *and its cost counters* (reduction never changes the verdict, but
     sharing entries across the flag would report the wrong state counts).
     The hash is stable across processes and interpreter runs (no
-    ``hash()`` involvement), so it keys the on-disk cache and the
-    fleet-wide :class:`~repro.rosa.store.SharedVerdictStore` too.
+    ``hash()`` involvement), so it also keys the fleet-wide
+    :class:`~repro.rosa.store.SharedVerdictStore`.
     """
     goal = query.goal_key if query.goal_key is not None else goal_identity(query.goal)
     tail = (
@@ -272,10 +223,11 @@ class CachedOutcome:
     """The JSON-serialisable essence of one search result.
 
     Everything the pipeline's verdict grids and exposure metrics consume:
-    the verdict, the witness rule labels, and the cost counters.  The
-    compromised configuration itself is not persisted (it is a graph of
-    live objects); cache-served reports carry ``compromised_state=None``
-    unless the in-memory entry still holds the full report.
+    the verdict, the witness rule labels, the cost counters and why the
+    search stopped.  The compromised configuration itself is not
+    persisted (it is a graph of live objects); cache-served reports carry
+    ``compromised_state=None`` unless the in-memory entry still holds the
+    full report.
     """
 
     verdict: str
@@ -287,6 +239,7 @@ class CachedOutcome:
     dedup_hits: int
     max_depth: int
     por_pruned: int = 0
+    stop_reason: str = ""
 
     def to_json(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -303,6 +256,7 @@ class CachedOutcome:
             dedup_hits=int(data.get("dedup_hits", 0)),
             max_depth=int(data.get("max_depth", 0)),
             por_pruned=int(data.get("por_pruned", 0)),
+            stop_reason=str(data.get("stop_reason", "")),
         )
 
     @classmethod
@@ -317,6 +271,7 @@ class CachedOutcome:
             dedup_hits=report.stats.dedup_hits,
             max_depth=report.stats.max_depth,
             por_pruned=report.stats.por_pruned,
+            stop_reason=report.stats.stop_reason,
         )
 
     def to_report(self, query: RosaQuery) -> RosaReport:
@@ -334,6 +289,7 @@ class CachedOutcome:
                 dedup_hits=self.dedup_hits,
                 max_depth=self.max_depth,
                 por_pruned=self.por_pruned,
+                stop_reason=self.stop_reason,
             ),
             from_cache=True,
         )
@@ -343,52 +299,26 @@ class CachedOutcome:
 class _CacheEntry:
     outcome: CachedOutcome
     #: The full report, kept for in-memory hits so witnesses'
-    #: compromised states survive; dropped on disk round-trips.
+    #: compromised states survive; absent for entries warmed from the store.
     report: Optional[RosaReport] = None
 
 
-def read_cache_entries(path: str) -> Dict[str, Any]:
-    """Raw same-schema entry payloads from a cache file on disk.
-
-    Unreadable, corrupt or schema-skewed files come back empty — the
-    merge primitive (:meth:`QueryCache.save`, and the shared store's
-    index compaction) treats anything it cannot trust as absent rather
-    than propagating it forward.
-    """
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as error:
-        logger.warning("query cache %s unreadable, ignoring: %s", path, error)
-        return {}
-    if not isinstance(data, dict) or data.get("version") != CACHE_SCHEMA_VERSION:
-        return {}
-    entries = data.get("entries", {})
-    return dict(entries) if isinstance(entries, dict) else {}
-
-
 class QueryCache:
-    """An LRU of search outcomes keyed by canonical query key.
+    """An in-memory LRU of search outcomes keyed by canonical query key.
 
-    ``capacity`` bounds the in-memory entry count (least recently used
-    entries evict first).  With ``path`` set, entries persist as JSON:
-    :meth:`load` runs at construction, :meth:`save` writes atomically and
-    is called by the engine after each batch that added entries.
+    ``capacity`` bounds the entry count (least recently used entries
+    evict first).  The cache lives and dies with its process; sharing
+    verdicts across runs is the :class:`~repro.rosa.store.
+    SharedVerdictStore`'s job.
     """
 
-    def __init__(self, capacity: int = 4096, path: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.path = path
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, _CacheEntry]" = OrderedDict()
-        self._dirty = False
-        if path is not None:
-            self.load()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -413,7 +343,6 @@ class QueryCache:
     ) -> None:
         self._entries[key] = _CacheEntry(outcome=outcome, report=report)
         self._entries.move_to_end(key)
-        self._dirty = True
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
@@ -421,68 +350,6 @@ class QueryCache:
         self._entries.clear()
         self.hits = 0
         self.misses = 0
-        self._dirty = True
-
-    # -- persistence ----------------------------------------------------------
-
-    def load(self) -> int:
-        """Load persisted entries from ``path``; returns the count loaded."""
-        if self.path is None or not os.path.exists(self.path):
-            return 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as error:
-            logger.warning("query cache %s unreadable, ignoring: %s", self.path, error)
-            return 0
-        if data.get("version") != CACHE_SCHEMA_VERSION:
-            logger.info(
-                "query cache %s has version %r, want %d; starting fresh",
-                self.path, data.get("version"), CACHE_SCHEMA_VERSION,
-            )
-            return 0
-        loaded = 0
-        for key, entry in data.get("entries", {}).items():
-            try:
-                self._entries[key] = _CacheEntry(CachedOutcome.from_json(entry))
-                loaded += 1
-            except (KeyError, TypeError, ValueError):
-                continue
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return loaded
-
-    def save(self) -> bool:
-        """Merge entries into ``path`` atomically; returns True if written.
-
-        Save is load-merge-replace under an :func:`advisory_lock`, not
-        last-writer-wins: same-schema entries already on disk are kept
-        and this cache's entries layered on top, so two processes
-        sharing one ``--query-cache`` path union their work instead of
-        silently dropping each other's batches.  Only the in-memory LRU
-        is capacity-bounded — the disk file keeps the fleet's union.
-        """
-        if self.path is None or not self._dirty:
-            return False
-        with advisory_lock(self.path):
-            merged = read_cache_entries(self.path)
-            for key, entry in self._entries.items():
-                merged[key] = entry.outcome.to_json()
-            payload = {"version": CACHE_SCHEMA_VERSION, "entries": merged}
-            directory = os.path.dirname(os.path.abspath(self.path))
-            fd, tmp_path = tempfile.mkstemp(prefix=".rosa-cache-", dir=directory)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, indent=0, sort_keys=True)
-                os.replace(tmp_path, self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        self._dirty = False
-        return True
 
 
 # -- batch scheduling ---------------------------------------------------------
@@ -684,31 +551,9 @@ class QueryEngine:
         not memoized) and always searches.
         """
         budget = budget or self.budget
-        tracer = self.telemetry.tracer
-        metrics = self.telemetry.metrics
         if track_states or (self.cache is None and self.store is None):
             return self._checked(query, budget, track_states=track_states)
-        reduction = self._effective_reduction(query)
-        key = query_cache_key(query, budget, reduction=reduction)
-        if self.cache is not None:
-            entry = self.cache.get(key)
-            if entry is not None:
-                metrics.counter("rosa.cache.hits").inc()
-                return self._served_from_cache(query, entry, tracer)
-            metrics.counter("rosa.cache.misses").inc()
-        outcome = self._store_get(key)
-        if outcome is not None:
-            if self.cache is not None:
-                self.cache.put(key, outcome)
-            return self._served_from_cache(
-                query, _CacheEntry(outcome=outcome), tracer
-            )
-        report = self._checked(query, budget, reduction=reduction)
-        outcome = CachedOutcome.from_report(report)
-        if self.cache is not None:
-            self.cache.put(key, outcome, report)
-        self._store_put(key, outcome)
-        return report
+        return self._answer([QueryRequest(query, budget)])[0]
 
     def _store_get(self, key: str) -> Optional[CachedOutcome]:
         """L2 lookup with hit/miss accounting (``None`` without a store)."""
@@ -722,7 +567,11 @@ class QueryEngine:
         return None
 
     def _store_put(self, key: str, outcome: CachedOutcome) -> None:
-        """Publish one fresh outcome to the L2 store (no-op without one)."""
+        """Publish one fresh outcome to the L2 store (no-op without one).
+
+        The engine's only publish call.  The store refuses wall-clock
+        TIMEOUTs (see :meth:`repro.rosa.store.SharedVerdictStore.put`).
+        """
         if self.store is None:
             return
         if self.store.put(key, outcome):
@@ -789,13 +638,22 @@ class QueryEngine:
             request if isinstance(request, QueryRequest) else QueryRequest(request)
             for request in requests
         ]
+        if entries:
+            self.telemetry.metrics.counter("rosa.batch.queries").inc(len(entries))
+        return self._answer(entries)
+
+    def _answer(self, entries: List[QueryRequest]) -> List[RosaReport]:
+        """The one lookup order: L1 LRU, L2 store, live search, publish.
+
+        Shared by :meth:`check` and :meth:`run_queries` (which stay
+        separate entry points: each is one ``engine`` call to whoever
+        wraps them).  Returns one report per entry, in entry order.
+        """
         metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
         profiler = self.profiler if (
             self.profiler is not None and self.profiler.enabled
         ) else None
-        if entries:
-            metrics.counter("rosa.batch.queries").inc(len(entries))
 
         # Per-batch setup hoisted out of the per-query path: the effective
         # reduction flag is derived once per query (key derivation and the
@@ -850,79 +708,73 @@ class QueryEngine:
                     )
                     continue
             distinct.setdefault(key, []).append(index)
-        if distinct:
-            metrics.counter("rosa.batch.unique").inc(len(distinct))
+        if not distinct:
+            return reports
+        metrics.counter("rosa.batch.unique").inc(len(distinct))
 
-        # 2. Run each distinct search once.
-        if distinct:
-            leaders = [indices[0] for indices in distinct.values()]
-            budget_for = lambda index: entries[index].budget or self.budget
-            all_have_specs = all(
-                entries[index].spec is not None for index in leaders
-            )
-            widest = max(
-                (budget_for(index).max_states or 0 for index in leaders), default=0
-            )
-            mode = self.parallel.resolve(
-                len(leaders),
-                dataclasses.replace(self.budget, max_states=widest or None)
-                if widest
-                else self.budget,
-                all_have_specs,
-            )
-            if mode == "serial" or len(leaders) == 1:
-                if profiler is not None:
-                    # Serial scheduling is one worker draining the queue:
-                    # queue wait is time spent behind earlier searches.
-                    batch_start = profiler.clock()
-                    leader_reports = []
-                    for index in leaders:
-                        start = profiler.clock()
-                        profiler.account(
-                            ("engine", "worker:0", "queue_wait"), start - batch_start
-                        )
-                        leader_reports.append(
-                            self._checked(
-                                entries[index].query,
-                                budget_for(index),
-                                reduction=reductions[index],
-                            )
-                        )
-                        profiler.account(
-                            ("engine", "worker:0", "execute"),
-                            profiler.clock() - start,
-                        )
-                else:
-                    leader_reports = [
-                        self._checked(
-                            entries[index].query,
-                            budget_for(index),
-                            reduction=reductions[index],
-                        )
-                        for index in leaders
-                    ]
-            else:
-                leader_reports = self._run_parallel(
-                    mode, entries, leaders, budget_for, profiler, keys, reductions
+        # 2. Run each distinct search once, then remember and publish it.
+        leaders = [indices[0] for indices in distinct.values()]
+        leader_reports = self._search(entries, leaders, keys, reductions, profiler)
+        for key_indices, report in zip(distinct.values(), leader_reports):
+            if self.cache is not None or self.store is not None:
+                outcome = CachedOutcome.from_report(report)
+                if self.cache is not None:
+                    self.cache.put(keys[key_indices[0]], outcome, report)
+                self._store_put(keys[key_indices[0]], outcome)
+            reports[key_indices[0]] = report
+            for index in key_indices[1:]:
+                # A deduped sibling: same answer, its own query.
+                metrics.counter("rosa.batch.dedup_hits").inc()
+                reports[index] = dataclasses.replace(
+                    report, query=entries[index].query
                 )
-            for key_indices, report in zip(distinct.values(), leader_reports):
-                if self.cache is not None or self.store is not None:
-                    outcome = CachedOutcome.from_report(report)
-                    if self.cache is not None:
-                        self.cache.put(keys[key_indices[0]], outcome, report)
-                    self._store_put(keys[key_indices[0]], outcome)
-                for position, index in enumerate(key_indices):
-                    if position == 0:
-                        reports[index] = report
-                    else:
-                        # A deduped sibling: same answer, its own query.
-                        metrics.counter("rosa.batch.dedup_hits").inc()
-                        reports[index] = dataclasses.replace(
-                            report, query=entries[index].query
-                        )
-        if self.cache is not None and self.cache.path is not None:
-            self.cache.save()
-        return [report for report in reports if report is not None]
+        return reports
+
+    def _search(
+        self, entries, leaders, keys, reductions, profiler
+    ) -> List[RosaReport]:
+        """Run the leaders' searches under the :class:`ParallelPolicy`."""
+        budget_for = lambda index: entries[index].budget or self.budget
+        all_have_specs = all(entries[index].spec is not None for index in leaders)
+        widest = max(
+            (budget_for(index).max_states or 0 for index in leaders), default=0
+        )
+        mode = self.parallel.resolve(
+            len(leaders),
+            dataclasses.replace(self.budget, max_states=widest or None)
+            if widest
+            else self.budget,
+            all_have_specs,
+        )
+        if mode != "serial" and len(leaders) > 1:
+            return self._run_parallel(
+                mode, entries, leaders, budget_for, profiler, keys, reductions
+            )
+        if profiler is None:
+            return [
+                self._checked(
+                    entries[index].query,
+                    budget_for(index),
+                    reduction=reductions[index],
+                )
+                for index in leaders
+            ]
+        # Serial scheduling is one worker draining the queue: queue wait
+        # is time spent behind earlier searches.
+        batch_start = profiler.clock()
+        leader_reports = []
+        for index in leaders:
+            start = profiler.clock()
+            profiler.account(("engine", "worker:0", "queue_wait"), start - batch_start)
+            leader_reports.append(
+                self._checked(
+                    entries[index].query,
+                    budget_for(index),
+                    reduction=reductions[index],
+                )
+            )
+            profiler.account(("engine", "worker:0", "execute"), profiler.clock() - start)
+        return leader_reports
 
     def _capsule_request(self, profiler) -> Optional[CapsuleRequest]:
         """What pool workers should collect, or ``None`` for nothing.
@@ -994,14 +846,7 @@ class QueryEngine:
         }
 
     def _run_parallel(
-        self,
-        mode,
-        entries,
-        leaders,
-        budget_for,
-        profiler=None,
-        keys=None,
-        reductions=None,
+        self, mode, entries, leaders, budget_for, profiler, keys, reductions
     ) -> List[RosaReport]:
         """Fan distinct searches over an executor; returns leader-ordered reports.
 
@@ -1026,15 +871,10 @@ class QueryEngine:
         timed = profiler is not None or request is not None
         clock = profiler.clock if profiler is not None else tracer.clock
 
-        def reduction_for(index):
-            if reductions is not None:
-                return reductions[index]
-            return self._effective_reduction(entries[index].query)
-
         def request_for(index):
             # Trace-context propagation: the canonical query key is the
             # capsule's trace id, shared by every span the worker emits.
-            if request is None or keys is None:
+            if request is None:
                 return request
             return dataclasses.replace(request, trace_id=keys[index])
 
@@ -1053,7 +893,7 @@ class QueryEngine:
                     _run_spec_in_worker,
                     entries[index].spec,
                     budget_for(index),
-                    reduction_for(index),
+                    reductions[index],
                     request_for(index),
                 )
                 for index in leaders
@@ -1094,7 +934,7 @@ class QueryEngine:
                     run_in_thread,
                     entries[index].query,
                     budget_for(index),
-                    reduction_for(index),
+                    reductions[index],
                     request_for(index),
                 )
                 for index in leaders
@@ -1221,10 +1061,6 @@ class QueryEngine:
         return reports
 
     # -- maintenance -----------------------------------------------------------
-
-    def save_cache(self) -> bool:
-        """Persist the cache now (no-op without a cache path)."""
-        return self.cache.save() if self.cache is not None else False
 
     def cache_stats(self) -> Dict[str, Any]:
         """Hit/miss counters for reports and benchmarks."""

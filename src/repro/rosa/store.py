@@ -26,10 +26,15 @@ Crypto-Anaylzer exemplar (SNIPPETS.md):
   Anything else — corruption, tampering, version skew, a foreign rule
   system — is *rejected*: counted, skipped, and recomputed live by the
   caller, never trusted.
+* **Only reproducible verdicts.** An outcome whose search was cut off
+  by the wall-clock limit (``stop_reason == "max_seconds"``) is never
+  published: a faster or idler host might finish the same search, so
+  that TIMEOUT is a fact about the host, not the query.  The states and
+  depth limits give the same answer everywhere and do publish.
 * **Append-only lineage.** Every publish appends one JSON line to
-  ``lineage.jsonl`` under the same advisory lock primitive the query
-  cache's merge-on-save uses, so the store's history is auditable
-  (who published what, when, under which signature).
+  ``lineage.jsonl`` under an :func:`advisory_lock`, so the store's
+  history is auditable (who published what, when, under which
+  signature).
 
 The store is deliberately engine-shaped: ``get(key)`` returns a
 :class:`~repro.rosa.engine.CachedOutcome` or ``None`` and
@@ -40,6 +45,8 @@ as its L2 behind the in-memory LRU.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import json
 import logging
@@ -48,14 +55,9 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.rosa.engine import (
-    CACHE_SCHEMA_VERSION,
-    CachedOutcome,
-    advisory_lock,
-    system_signature,
-)
+from repro.rosa.engine import CACHE_SCHEMA_VERSION, CachedOutcome, system_signature
 
 logger = logging.getLogger("repro.rosa.store")
 
@@ -69,6 +71,57 @@ OBJECTS_DIR = "objects"
 
 #: Append-only publish history, one JSON line per published object.
 LINEAGE_FILE = "lineage.jsonl"
+
+#: The one stop reason that depends on the host rather than the query.
+WALL_CLOCK_STOP = "max_seconds"
+
+
+@contextlib.contextmanager
+def advisory_lock(
+    path: str, timeout: float = 10.0, stale_after: float = 30.0
+) -> Iterator[None]:
+    """An advisory cross-process lock around ``path`` (a ``.lock`` sibling).
+
+    Lockfile-based (``O_CREAT | O_EXCL``), so it works on any filesystem
+    the store can live on — no ``fcntl`` dependency, no byte-range
+    semantics to get wrong over NFS.  Waiting processes poll; a lockfile
+    older than ``stale_after`` seconds is treated as an orphan (its
+    holder crashed between acquire and release) and broken.  Raises
+    ``TimeoutError`` if the lock cannot be won inside ``timeout`` seconds
+    — callers must fail loudly rather than scribble over a file another
+    process is appending to.
+    """
+    lock_path = path + ".lock"
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except OSError as error:
+            if error.errno != errno.EEXIST:
+                raise
+        try:
+            age = time.time() - os.stat(lock_path).st_mtime
+            if age > stale_after:
+                # The holder died without releasing; break the orphan.
+                # (A racing breaker just loses the unlink — harmless.)
+                logger.warning("breaking stale lock %s (age %.1fs)", lock_path, age)
+                os.unlink(lock_path)
+                continue
+        except OSError:
+            pass  # the holder released between our open and stat
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"could not acquire {lock_path} in {timeout}s")
+        time.sleep(0.002)
+    try:
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        os.close(fd)
+        yield
+    finally:
+        try:
+            os.unlink(lock_path)
+        except OSError:  # pragma: no cover - already broken as stale
+            pass
 
 
 def rule_signature_hex(system=None) -> str:
@@ -188,11 +241,18 @@ class SharedVerdictStore:
     def put(self, key: str, outcome: CachedOutcome) -> bool:
         """Publish ``outcome`` under ``key``; True if a fresh object landed.
 
-        Re-publishing a key whose on-disk object already validates is a
-        no-op (the content is identical by construction — the key binds
-        every search input).  An invalid object in the way is replaced:
-        publishing is also the repair path for rejected entries.
+        A wall-clock TIMEOUT is refused (nothing is written; see the
+        module docstring).  The refusal lives here, behind the engine's
+        one publish call, so :class:`SingleFlight` still releases the
+        joiners waiting on the key.  Re-publishing a key whose on-disk
+        object already validates is a no-op (the content is identical by
+        construction — the key binds every search input).  An invalid
+        object in the way is replaced: publishing is also the repair path
+        for rejected entries.
         """
+        if outcome.stop_reason == WALL_CLOCK_STOP:
+            logger.debug("not publishing %s: wall-clock TIMEOUT", key)
+            return False
         path = self._path(key)
         if path.exists():
             try:

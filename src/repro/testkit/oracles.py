@@ -109,6 +109,7 @@ def report_fingerprint(report) -> Tuple:
         report.stats.peak_frontier,
         report.stats.dedup_hits,
         report.stats.max_depth,
+        report.stats.stop_reason,
     )
 
 

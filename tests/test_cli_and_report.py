@@ -17,6 +17,7 @@ from repro.core.report import (
     to_markdown,
 )
 from repro.programs import spec_by_name
+from repro.rosa.store import SharedVerdictStore
 
 
 def run_cli(*argv):
@@ -108,6 +109,22 @@ class TestCli:
     def test_analyze_json(self):
         code, out = run_cli("analyze", "ping", "--format", "json")
         assert json.loads(out)["program"] == "ping"
+
+    def test_verdict_store_serves_the_second_run(self, tmp_path):
+        store = str(tmp_path / "store")
+        argv = ("analyze", "passwd", "--format", "json", "--verdict-store", store)
+        code, cold = run_cli(*argv)
+        assert code == 0
+        published = len(SharedVerdictStore(store).lineage())
+        assert published > 0
+
+        code, warm = run_cli(*argv, "--ledger", str(tmp_path / "warm"))
+        assert code == 0
+        assert json.loads(warm) == json.loads(cold)
+        served = json.loads((tmp_path / "warm" / "cache.json").read_text())
+        assert served["store"]["hits"] > 0
+        assert served["store"]["published"] == 0
+        assert len(SharedVerdictStore(store).lineage()) == published
 
     def test_analyze_csv(self):
         code, out = run_cli("analyze", "ping", "--format", "csv")

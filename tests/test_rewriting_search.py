@@ -32,17 +32,20 @@ class TestOutcomes:
         assert result.outcome is SearchOutcome.FOUND
         assert result.path == []
         assert result.state == 5
+        assert result.stats.stop_reason == "goal"
 
     def test_found_with_shortest_witness(self):
         result = breadth_first_search(0, line_successors(10), lambda s: s == 3)
         assert result.found
         assert result.path == ["inc", "inc", "inc"]
+        assert result.stats.stop_reason == "goal"
 
     def test_exhausted_proves_unreachable(self):
         result = breadth_first_search(0, line_successors(5), lambda s: s == 99)
         assert result.outcome is SearchOutcome.EXHAUSTED
         assert result.proved_unreachable
         assert result.states_seen == 6  # 0..5
+        assert result.stats.stop_reason == "exhausted"
 
     def test_state_budget_exceeded(self):
         result = breadth_first_search(
@@ -53,6 +56,7 @@ class TestOutcomes:
         )
         assert result.outcome is SearchOutcome.BUDGET_EXCEEDED
         assert not result.proved_unreachable
+        assert result.stats.stop_reason == "max_states"
 
     def test_depth_budget_blocks_deep_goal(self):
         result = breadth_first_search(
@@ -62,6 +66,7 @@ class TestOutcomes:
             budget=SearchBudget(max_depth=3),
         )
         assert result.outcome is SearchOutcome.BUDGET_EXCEEDED
+        assert result.stats.stop_reason == "max_depth"
 
     def test_depth_budget_still_finds_shallow_goal(self):
         result = breadth_first_search(
@@ -83,6 +88,7 @@ class TestOutcomes:
             budget=SearchBudget(max_states=None, max_seconds=0.05),
         )
         assert result.outcome is SearchOutcome.BUDGET_EXCEEDED
+        assert result.stats.stop_reason == "max_seconds"
 
     def test_visited_set_prevents_reexploration(self):
         result = breadth_first_search(0, line_successors(3), lambda s: False)

@@ -8,7 +8,9 @@ schema skew, or a foreign rule system mean recompute, never trust.
 """
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import threading
@@ -18,12 +20,13 @@ import pytest
 
 from repro.caps import CapabilitySet
 from repro.rewriting import SearchBudget
-from repro.rosa import QueryCache, QueryEngine, query_cache_key
-from repro.rosa.engine import CachedOutcome, advisory_lock, read_cache_entries
+from repro.rosa import QueryCache, QueryEngine, check, goals, query_cache_key
+from repro.rosa.engine import CachedOutcome
 from repro.rosa.store import (
     STORE_SCHEMA_VERSION,
     SharedVerdictStore,
     SingleFlight,
+    advisory_lock,
     attest,
     rule_signature_hex,
 )
@@ -75,44 +78,6 @@ class TestAdvisoryLock:
         with advisory_lock(target, timeout=1.0, stale_after=30.0):
             pass  # the orphan was broken, not waited out
         assert not lock.exists()
-
-
-class TestQueryCacheMergeOnSave:
-    def test_two_caches_union_instead_of_clobbering(self, tmp_path):
-        """The persistence race: last save must not drop the first's work."""
-        path = str(tmp_path / "cache.json")
-        a = QueryCache(path=path)
-        b = QueryCache(path=path)  # loaded before a saved: sees nothing
-        a.put(key_for(1), outcome_for(1))
-        b.put(key_for(2), outcome_for(2))
-        assert a.save()
-        assert b.save()  # merges on disk, does not replace
-        entries = read_cache_entries(path)
-        assert set(entries) == {key_for(1), key_for(2)}
-
-        fresh = QueryCache(path=path)
-        assert len(fresh) == 2
-        assert fresh.get(key_for(1)).outcome == outcome_for(1)
-        assert fresh.get(key_for(2)).outcome == outcome_for(2)
-
-    def test_disk_keeps_union_beyond_memory_capacity(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = QueryCache(capacity=2, path=path)
-        for index in range(5):
-            cache.put(key_for(index), outcome_for(index))
-            assert cache.save()
-        assert len(cache) == 2  # the LRU bounds memory...
-        # ...while successive merges kept every entry ever saved.
-        assert set(read_cache_entries(path)) == {key_for(i) for i in range(5)}
-
-    def test_corrupt_file_on_disk_is_ignored_not_propagated(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{definitely not json")
-        cache = QueryCache(path=str(path))
-        assert len(cache) == 0
-        cache.put(key_for(0), outcome_for(0))
-        assert cache.save()
-        assert set(read_cache_entries(str(path))) == {key_for(0)}
 
 
 class TestSharedVerdictStore:
@@ -309,6 +274,23 @@ class TestSingleFlight:
         assert flight.put(key, outcome_for(1)) is True
         assert flight.get(key) == outcome_for(1)
 
+    def test_refused_publish_still_releases_joiners(self, tmp_path):
+        flight = SingleFlight(SharedVerdictStore(tmp_path), timeout=60.0)
+        key = key_for(3)
+        assert flight.get(key) is None  # leader
+        results = []
+        thread = threading.Thread(target=lambda: results.append(flight.get(key)))
+        thread.start()
+        time.sleep(0.05)  # let the joiner block on the in-flight event
+        wall_clock = dataclasses.replace(outcome_for(3), stop_reason="max_seconds")
+        assert flight.put(key, wall_clock) is False
+        thread.join(timeout=10)
+        # Released by the refused put, not by the 60 s flight timeout:
+        # the joiner computes live instead of being served the TIMEOUT.
+        assert not thread.is_alive()
+        assert results == [None]
+        assert flight.stats()["single_flight"]["inflight"] == 0
+
     def test_warm_hits_bypass_coalescing(self, tmp_path):
         flight = SingleFlight(SharedVerdictStore(tmp_path))
         flight.get(key_for(2))
@@ -389,6 +371,42 @@ class TestEngineIntegration:
         assert stats["store"]["published"] == 1
         assert stats["store"]["entries"] == 1
 
+    @pytest.mark.parametrize("entry_point", ["check", "run_queries"])
+    def test_wall_clock_timeout_is_never_published(self, tmp_path, entry_point):
+        # The clock reads 0 when the search starts and 10^6 s ever after,
+        # so the first budget check finds max_seconds exceeded.
+        readings = itertools.chain([0.0], itertools.repeat(1e6))
+        store = SharedVerdictStore(tmp_path)
+        engine = QueryEngine(
+            budget=BUDGET,
+            cache=QueryCache(),
+            store=store,
+            checker=functools.partial(check, clock=lambda: next(readings)),
+        )
+        answer = getattr(engine, entry_point)
+        report = answer(shadow_query()) if entry_point == "check" else (
+            answer([shadow_query()])[0]
+        )
+        assert report.verdict.value == "timeout"
+        assert report.stats.stop_reason == "max_seconds"
+        assert store.published == 0
+        assert store.entry_count() == 0
+        assert store.lineage() == []
+
+        # A states-limit TIMEOUT is the same on every host: it publishes.
+        unreachable = shadow_query(goal=goals.file_opened_for_write(3))
+        tight = SearchBudget(max_states=1, max_seconds=30.0)
+        engine = QueryEngine(budget=tight, cache=QueryCache(), store=store)
+        report = engine.check(unreachable)
+        assert report.verdict.value == "timeout"
+        assert report.stats.stop_reason == "max_states"
+        assert store.published == 1
+        reduction = engine._effective_reduction(unreachable)
+        served = SharedVerdictStore(tmp_path).get(
+            query_cache_key(unreachable, tight, reduction=reduction)
+        )
+        assert served.stop_reason == "max_states"
+
     def test_store_key_is_the_canonical_query_key(self, tmp_path):
         store = SharedVerdictStore(tmp_path)
         engine = QueryEngine(budget=BUDGET, cache=QueryCache(), store=store)
@@ -422,9 +440,9 @@ def symmetry_era_outcome(verdict: str) -> dict:
 class TestSchemaFourIsRefused:
     """``reduction=True`` changed meaning at cache schema 5 (POR only).
 
-    A v4 store object or ``--query-cache`` file must never be served,
-    even where its key matches: the planted entries below carry a wrong
-    verdict, so serving either one would be visible in the answer.
+    A v4 store object must never be served, even where its key matches:
+    the planted entry below carries a wrong verdict, so serving it would
+    be visible in the answer.
     """
 
     def test_v4_store_object_is_rejected_and_recomputed(self, tmp_path):
@@ -470,24 +488,3 @@ class TestSchemaFourIsRefused:
         # The live answer replaced the stale object (the repair path).
         assert store.published == 1
         assert SharedVerdictStore(tmp_path).get(key).verdict == "vulnerable"
-
-    def test_v4_cache_file_is_discarded_and_recomputed(self, tmp_path):
-        query = shadow_query()
-        path = tmp_path / "cache.json"
-        probe = QueryEngine(budget=BUDGET, cache=QueryCache())
-        key = query_cache_key(
-            query, BUDGET, reduction=probe._effective_reduction(query)
-        )
-        path.write_text(
-            json.dumps(
-                {"version": 4, "entries": {key: symmetry_era_outcome("invulnerable")}}
-            )
-        )
-
-        cache = QueryCache(path=str(path))
-        assert len(cache) == 0
-        assert read_cache_entries(str(path)) == {}
-        report = QueryEngine(budget=BUDGET, cache=cache).check(query)
-        assert not report.from_cache
-        assert report.verdict.value == "vulnerable"
-        assert cache.misses == 1 and cache.hits == 0
